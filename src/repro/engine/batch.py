@@ -70,11 +70,10 @@ compare the ensembles distributionally (KS), mirroring
 
 Ensembles the lockstep view cannot honour - non-uniform schedulers,
 fault hooks, traces/observers, problems that are not the
-permutation-invariant naming problem, open-role protocols, missing
-NumPy - fall back to per-run :class:`~repro.engine.counts.CountSimulator`
-execution (which continues down the ladder ``counts -> fast ->
-reference``), with a :class:`~repro.errors.BackendFallbackWarning` naming
-the reason.
+permutation-invariant naming problem, open-role protocols - fall back
+to per-run :class:`~repro.engine.counts.CountSimulator` execution (which
+continues down the ladder ``counts -> fast -> reference``), with a
+:class:`~repro.errors.BackendFallbackWarning` naming the reason.
 """
 
 from __future__ import annotations
@@ -82,6 +81,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as _np
 
 from repro.engine import sanitize as _sanitize
 from repro.engine.configuration import Configuration
@@ -105,10 +106,6 @@ from repro.engine.trace import Trace
 from repro.errors import ConvergenceError, SimulationError
 from repro.schedulers.base import Scheduler
 
-try:  # NumPy powers the lockstep kernel; without it the backend delegates.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the test image ships NumPy
-    _np = None
 
 #: Kernel steps between per-row uniform-buffer refills.  Each active row
 #: consumes two uniforms per step, so a refill draws ``2 * REFILL_STEPS``
@@ -468,10 +465,6 @@ class BatchedEnsembleSimulator:
         once on the native path (each configuration can be garbage
         collected as soon as its counts row exists).
         """
-        if _np is None:
-            return None, None, (
-                "NumPy is not installed (the lockstep kernel needs it)"
-            )
         if self._table is None:
             return None, None, (
                 "the protocol's state space could not be compiled to a "

@@ -77,8 +77,8 @@ same refresh, so no later window can touch it.
 
 Ensembles the bleap view cannot honour - non-uniform schedulers, fault
 hooks, traces/observers, problems that are not the permutation-invariant
-naming problem, open-role protocols, uncompilable state spaces, missing
-NumPy - fall back to the lockstep batch engine with a structured
+naming problem, open-role protocols, uncompilable state spaces - fall
+back to the lockstep batch engine with a structured
 :class:`~repro.errors.BackendFallbackWarning` (``backend="bleap"``,
 ``delegate="batch"``), which applies its own preconditions and continues
 down the ladder ``batch -> counts -> fast -> reference``.
@@ -88,6 +88,8 @@ from __future__ import annotations
 
 import time
 from typing import Sequence
+
+import numpy as _np
 
 from repro.engine import sanitize as _sanitize
 from repro.engine.batch import (
@@ -118,11 +120,6 @@ from repro.engine.simulator import (
 from repro.engine.trace import Trace
 from repro.errors import ConvergenceError, SimulationError
 from repro.schedulers.base import Scheduler
-
-try:  # NumPy powers the windowed kernel; without it the backend delegates.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the test image ships NumPy
-    _np = None
 
 
 class BatchedLeapSimulator:
@@ -204,7 +201,7 @@ class BatchedLeapSimulator:
         self._plan = self._batch._plan
         self._leap = (
             _leap_plan_for(protocol, self._plan)
-            if _np is not None and self._plan is not None
+            if self._plan is not None
             else None
         )
         #: Whether the most recent run/run_replicates used the windowed

@@ -57,8 +57,8 @@ in interned order), exact up to the paper's Section 3.1 equivalence.
 
 Runs the counts view cannot honour - non-uniform or adversarial
 schedulers, fault hooks, traces/observers (which need agent identities),
-protocols whose rules move states across the mobile/leader role boundary,
-or missing NumPy - fall back to :class:`~repro.engine.fast.FastSimulator`
+or protocols whose rules move states across the mobile/leader role
+boundary - fall back to :class:`~repro.engine.fast.FastSimulator`
 (which may itself fall back to the reference loop), with a
 :class:`~repro.errors.BackendFallbackWarning` naming the reason.
 """
@@ -67,6 +67,8 @@ from __future__ import annotations
 
 import time
 from collections import Counter, OrderedDict
+
+import numpy as _np
 
 from repro.engine import sanitize as _sanitize
 from repro.engine.configuration import Configuration
@@ -94,11 +96,6 @@ from repro.errors import (
     SimulationError,
 )
 from repro.schedulers.base import Scheduler
-
-try:  # NumPy powers the batched sampler; without it the backend delegates.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the test image ships NumPy
-    _np = None
 
 
 def configuration_counts(
@@ -510,14 +507,10 @@ class CountSimulator:
         self._table = compile_table(protocol, compile_limit)
         self._plan = (
             _plan_for(protocol, self._table)
-            if _np is not None and self._table is not None
+            if self._table is not None
             else None
         )
-        self._rng = (
-            _np.random.default_rng(getattr(scheduler, "seed", None))
-            if _np is not None
-            else None
-        )
+        self._rng = _np.random.default_rng(getattr(scheduler, "seed", None))
         self._events_per_batch = events_per_batch or max(
             8, min(512, population.size // 32)
         )
@@ -588,8 +581,6 @@ class CountSimulator:
         observer: Observer | None,
     ) -> tuple[list[int] | None, str | None]:
         """Intern the initial configuration, or explain why we cannot."""
-        if _np is None:
-            return None, "NumPy is not installed (batched sampling needs it)"
         if self._table is None:
             return None, (
                 "the protocol's state space could not be compiled to a "

@@ -65,6 +65,24 @@ BLEAP_MIN_POPULATION = 10_000
 #: anyway and lockstep batching wins.
 FLUID_MIN_POPULATION = 1_000_000
 
+
+def resolve_backend(backend: str, population: Population) -> str:
+    """Resolve ``"auto"`` to a concrete engine by population size.
+
+    The one owner of the ``auto`` ladder: :func:`run_ensemble` runs the
+    name it returns, and the serving layer keys memoized results on it
+    (they must never be replayed across backends).  Any other name is
+    returned unchanged.
+    """
+    if backend != "auto":
+        return backend
+    if population.size >= FLUID_MIN_POPULATION:
+        return "fluid"
+    if population.size >= BLEAP_MIN_POPULATION:
+        return "bleap"
+    return "batch"
+
+
 #: Builds a fresh scheduler for a seed.
 SchedulerFactory = Callable[[Population, int], Scheduler]
 
@@ -466,13 +484,7 @@ def run_ensemble(
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be a positive integer, got {n_jobs}")
-    if backend == "auto":
-        if population.size >= FLUID_MIN_POPULATION:
-            backend = "fluid"
-        elif population.size >= BLEAP_MIN_POPULATION:
-            backend = "bleap"
-        else:
-            backend = "batch"
+    backend = resolve_backend(backend, population)
     seeds = list(seeds)
     common = (
         protocol,

@@ -58,8 +58,8 @@ population sizes whose agent vectors could never be built.
 
 Runs the fluid view cannot honour - leader populations (a count-1
 leader species has no mean-field limit), non-uniform schedulers, fault
-hooks, traces/observers, non-naming problems, uncompilable protocols,
-missing NumPy - fall back to the stochastic
+hooks, traces/observers, non-naming problems, uncompilable protocols -
+fall back to the stochastic
 :class:`~repro.engine.leap.LeapSimulator` (which continues down the
 ladder ``leap -> counts -> fast -> reference``) with a
 :class:`~repro.errors.BackendFallbackWarning` naming the reason.
@@ -69,6 +69,8 @@ from __future__ import annotations
 
 import time
 from typing import Mapping
+
+import numpy as _np
 
 from repro.engine import sanitize as _sanitize
 from repro.engine.configuration import Configuration
@@ -92,10 +94,6 @@ from repro.engine.trace import Trace
 from repro.errors import SimulationError
 from repro.schedulers.base import Scheduler
 
-try:  # NumPy powers the integrator; without it we delegate.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the test image ships NumPy
-    _np = None
 
 #: Default stochastic floor: a species that was macroscopic and dwindles
 #: below this many agents triggers the handoff to the leap backend.
@@ -343,8 +341,6 @@ class FluidSimulator:
 
     def _fluid_preconditions(self) -> str | None:
         """Fluid-specific refusals (the leap preconditions come on top)."""
-        if _np is None:
-            return "NumPy is not installed (the ODE integrator needs it)"
         if self._table is None:
             return (
                 "the protocol's state space could not be compiled to a "

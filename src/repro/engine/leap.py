@@ -54,7 +54,7 @@ the CI smoke check.
 
 Runs the leap view cannot honour - non-uniform schedulers, fault hooks,
 traces/observers, problems other than the permutation-invariant naming
-problem, open-role protocols, missing NumPy - fall back to the exact
+problem, open-role protocols - fall back to the exact
 :class:`~repro.engine.counts.CountSimulator` (which continues down the
 ladder ``counts -> fast -> reference``) with a
 :class:`~repro.errors.BackendFallbackWarning` naming the reason.
@@ -64,6 +64,8 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
+
+import numpy as _np
 
 from repro.engine import sanitize as _sanitize
 from repro.engine.configuration import Configuration
@@ -86,10 +88,6 @@ from repro.engine.trace import Trace
 from repro.errors import ConvergenceError, SimulationError
 from repro.schedulers.base import Scheduler
 
-try:  # NumPy powers the multinomial kernel; without it we delegate.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the test image ships NumPy
-    _np = None
 
 #: Default relative-change bound per window: tau is capped so that no
 #: state's expected change (or standard deviation squared) inside one
@@ -288,14 +286,10 @@ class LeapSimulator:
         self._plan = self._counts._plan
         self._leap = (
             _leap_plan_for(protocol, self._plan)
-            if _np is not None and self._plan is not None
+            if self._plan is not None
             else None
         )
-        self._rng = (
-            _np.random.default_rng(getattr(scheduler, "seed", None))
-            if _np is not None
-            else None
-        )
+        self._rng = _np.random.default_rng(getattr(scheduler, "seed", None))
         #: Whether the most recent :meth:`run` used the leap path.
         self.last_run_native = False
         #: Final counts vector of the most recent native run (interned
@@ -365,8 +359,6 @@ class LeapSimulator:
         observer: Observer | None,
     ) -> tuple[list[int] | None, str | None]:
         """Intern the initial configuration, or explain why we cannot."""
-        if _np is None:
-            return None, "NumPy is not installed (the leap kernel needs it)"
         if self._table is None:
             return None, (
                 "the protocol's state space could not be compiled to a "

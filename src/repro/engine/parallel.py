@@ -61,6 +61,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
+import numpy as _np
+
 from repro.engine.batch import (
     N_SCALARS,
     BatchedEnsembleSimulator,
@@ -72,10 +74,6 @@ from repro.engine.fast import warn_fallback
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.simulator import SimulationResult
 
-try:  # NumPy views over the shared buffers; without it there is no kernel.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the test image ships NumPy
-    _np = None
 
 try:  # POSIX shared memory; absent on some minimal/embedded builds.
     from multiprocessing import resource_tracker as _resource_tracker
@@ -101,9 +99,7 @@ def shm_available() -> tuple[bool, str | None]:
     """
     global _SHM_PROBE
     if _SHM_PROBE is None:
-        if _np is None:
-            _SHM_PROBE = (False, "NumPy is not installed")
-        elif _shared_memory is None:
+        if _shared_memory is None:
             _SHM_PROBE = (False, "multiprocessing.shared_memory is unavailable")
         else:
             try:

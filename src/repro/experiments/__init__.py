@@ -2,7 +2,7 @@
 measurements indexed in DESIGN.md."""
 
 from repro.experiments.ablation import AblationPoint, run_ablation
-from repro.experiments.bench import BenchPoint, ChurnProtocol, run_bench
+from repro.experiments.bench import ChurnProtocol, Measurement, run_section
 from repro.experiments.convergence import SeriesPoint, run_convergence
 from repro.experiments.exact_times import ExactTimePoint, run_exact_times
 from repro.experiments.full_report import build_report
@@ -20,10 +20,10 @@ from repro.experiments.table1 import Table1Row, render_rows, run_table1
 
 __all__ = [
     "AblationPoint",
-    "BenchPoint",
     "BoundCheck",
     "ChurnProtocol",
     "ExactTimePoint",
+    "Measurement",
     "PowerLawFit",
     "RecoveryPoint",
     "ScalePoint",
@@ -38,11 +38,11 @@ __all__ = [
     "render_rows",
     "render_table",
     "run_ablation",
-    "run_bench",
     "run_convergence",
     "run_exact_times",
     "run_recovery",
     "run_scaling",
+    "run_section",
     "run_table1",
     "run_time_study",
     "run_tradeoffs",

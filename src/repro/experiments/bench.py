@@ -1,96 +1,51 @@
-"""Micro-benchmark ``repro bench``: simulation-backend throughput.
+"""Benchmark ``repro bench``: one cell table, one measure -> gate path.
 
-Measures interactions/second of the reference simulator, the fast
-array-based backend (:mod:`repro.engine.fast`) and the count-based
-backend (:mod:`repro.engine.counts`) under the uniform-random scheduler,
-across population sizes, on two workloads:
+Every simulation tier exists to make the paper's naming protocols
+cheaper to run; this bench is where each tier shows its measured win.
+It is a table of *sections* (:data:`TABLE`).  A section row names its
+measurement function, its cells - workload, N, R and interaction budget
+for the full run and for ``--smoke`` - the ``candidate/baseline`` pairs
+it reports, and the headline metrics it exposes to gates:
 
-* ``naming`` - the paper's single-rule asymmetric naming protocol
-  (Proposition 12) with a small bound, a mixed null/non-null workload;
-* ``churn``  - a stress protocol whose every interaction rewrites both
-  agents, the per-interaction worst case for every backend (the
-  reference pays an O(N) configuration copy per step, the counts
-  backend a Python-level counts update per step).
+* ``backends`` - reference vs fast vs counts per-run throughput on the
+  paper's asymmetric naming protocol (Proposition 12) and on an
+  always-active ``churn`` stress protocol.  Fast and reference consume
+  the same scheduler stream, so their results must be *equal* or the
+  run aborts (the counts backend draws its own randomness and is
+  validated statistically in the test suite).  The reference backend is
+  skipped above :data:`REFERENCE_MAX_N` agents.
+* ``ensemble`` - the lockstep batch engine vs chunked per-run counts
+  dispatch at R replicates (best of three).
+* ``leap`` - the multinomial leap backend vs exact counts at N = 10^6.
+* ``bleap`` - the batched tau-leaping ensemble engine vs chunked counts
+  at N = 10^5, R = 256 (best of two).
+* ``fluid`` - the mean-field fluid tier vs leap over the full ``10 N``
+  horizon at N = 10^8, timed end to end from the uniform all-zero start
+  (the leap cell pays its O(N) agent-vector round-trip; the fluid cell
+  runs counts-native), compared by wall-clock.
+* ``parallel`` - the shared-memory sharding layer: the bleap engine
+  serial vs sharded over :data:`PARALLEL_JOBS` workers, and the
+  symbolic checker's frontier expansion serial vs sharded.  Its gates
+  report but skip on hosts with fewer than :data:`PARALLEL_MIN_CORES`
+  cores, where the ratio measures oversubscription.
+* ``serve`` - a burst of small naming-ensemble jobs: cold per-call
+  ``run_ensemble`` vs a warm :class:`~repro.serve.pool.ServePool` vs
+  memo replay.  Warm and memoized ensembles must be bit-identical to
+  the cold ones or the run aborts.
 
-Workloads start from a *spread* initial configuration (states dealt
+Per-run workloads start from a *spread* configuration (states dealt
 round-robin), so the null/non-null mix is stationary from the first
-interaction and the numbers measure per-interaction engine overhead
-rather than a protocol-specific transient.
+interaction and the numbers measure per-interaction engine overhead.
 
-Besides timing, the run doubles as a differential smoke check: the fast
-and reference backends consume the same scheduler stream, so they must
-return *equal* :class:`SimulationResult`\\ s or the bench aborts (the
-counts backend draws its own randomness and is validated statistically
-in the test suite instead).  The reference backend is skipped above
-``REFERENCE_MAX_N`` agents, where its O(N)-per-interaction loop would
-dominate the wall-clock budget.  ``python -m repro bench`` prints the
-table and writes ``BENCH_simulator.json`` with per-workload speedups;
-``--floor`` turns the run into a perf gate on the counts backend's
-naming throughput at the largest size.
-
-A second, ensemble-throughput section compares the lockstep batch
-engine (:mod:`repro.engine.batch`) against chunked per-run counts
-dispatch on the naming workload at R replicates per cell (runs/s and
-pooled interactions/s), via :func:`~repro.engine.ensemble.run_ensemble`
-under both engines; ``--ensemble-floor`` gates the batch engine's rate
-at the widest cell the same way ``--floor`` gates the counts backend,
-and ``--ensemble-ratio-floor`` gates the batch/counts rate *ratio* at
-the widest cell of the largest measured population - a
-machine-independent check that the lockstep engine no longer loses to
-chunked per-run counts in its target regime, many replicates at
-N = 10^5 (the regression recorded by the pre-fix reports).  Each cell
-is timed best-of-two, so a scheduler hiccup on a shared machine cannot
-trip a ratio gate.
-
-A third, leap-throughput section compares the approximate multinomial
-leap backend (:mod:`repro.engine.leap`) against the exact counts
-backend on the naming workload at N = 10^6, where per-interaction cost
-is the binding constraint; ``--leap-floor`` gates the *ratio* of the
-two rates (the leap backend's headline claim is its speedup over exact
-counts stepping, which is machine-independent, unlike absolute rates).
-
-A fourth, bleap section measures the batched tau-leaping ensemble
-engine (:mod:`repro.engine.bleap`) against chunked per-run counts
-dispatch at N = 10^5 and R = 256 - the regime the engine exists for:
-populations large enough for multinomial windows to engage, replicate
-counts wide enough for lockstep batching to amortize kernel overhead.
-``--bleap-floor`` gates the bleap/counts rate ratio the same way
-``--leap-floor`` gates the single-run leap engine.
-
-A fifth, fluid section measures the mean-field fluid tier
-(:mod:`repro.engine.fluid`) against the stochastic leap backend on the
-full ``10 N`` naming horizon at N = 10^8, *end to end*: the leap cell
-pays the O(N) agent-vector round-trip (initial-configuration
-construction, state-tally interning, final materialization) that
-dominates beyond N = 10^7, while the fluid cell runs counts-native
-(:meth:`~repro.engine.fluid.FluidSimulator.run_counts`) and
-fast-forwards the deterministic transient by ODE.  ``--fluid-floor``
-gates the fluid/leap *wall-clock* ratio - the tier's headline claim is
-completing horizons whose agent vectors are not worth (or beyond N =
-10^9, not possible) building.
-
-A sixth, parallel section measures the zero-copy shared-memory
-sharding layer (:mod:`repro.engine.parallel`): the bleap engine at
-R = 1024 replicates and N = 10^5, serial versus sharded across worker
-processes, plus the symbolic checker's frontier expansion
-(:func:`repro.analysis.symbolic.reach`), serial versus sharded.  Both
-pairs are bit-identical by construction, so the cells measure pure
-transport and parallelism; ``--parallel-floor`` gates the
-sharded/serial rate *ratio* on the lockstep pair, and self-skips
-(reporting the ratio) on hosts with fewer than ``PARALLEL_MIN_CORES``
-cores, where the ratio measures oversubscription rather than the
-transport.
-
-Sections can be selected individually with ``--sections`` (comma-
-separated names from ``backends``, ``ensemble``, ``leap``, ``bleap``,
-``fluid``, ``parallel``), so CI perf gates re-time only the sections
-they gate; a floor flag whose section was deselected is a usage error.
-
-The JSON report carries an ``environment`` block (NumPy version, CPU
-count, git revision) so regressions flagged by the floor gates can be
-attributed to code versus machine changes, a ``section_seconds`` block
-(wall-clock per section that ran, harness overhead included) and its
-``total_seconds`` sum.
+Every measurement is one :class:`Measurement`; one renderer prints each
+section and one writer records them all in ``BENCH_simulator.json``,
+with an ``environment`` block (NumPy version, CPU count, git revision)
+and the wall-clock of each section that ran.  ``--gate
+section.metric>=x`` (repeatable) fails the run (exit 1) when a metric
+misses its threshold.  A metric named after a backend is its rate at
+the section's headline cell - the largest N, then the widest R, of the
+section's first workload; a ``candidate/baseline`` metric is their
+ratio at that cell.
 """
 
 from __future__ import annotations
@@ -99,14 +54,20 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable
 
+import numpy
+
+from repro.analysis.symbolic import CountsSystem, reach
 from repro.core.asymmetric import AsymmetricNamingProtocol
 from repro.engine.configuration import Configuration
 from repro.engine.ensemble import run_ensemble
-from repro.engine.fast import BACKENDS, make_simulator
+from repro.engine.fast import make_simulator
 from repro.engine.fluid import FluidSimulator
 from repro.engine.population import Population
 from repro.engine.problems import NamingProblem
@@ -115,9 +76,8 @@ from repro.engine.state import State
 from repro.errors import SimulationError
 from repro.experiments.report import render_table
 from repro.schedulers.random_pair import RandomPairScheduler
-
-#: Population sizes measured by default.
-DEFAULT_SIZES = (10, 100, 1000)
+from repro.serve.pool import ServePool
+from repro.serve.spec import JobSpec
 
 #: Default scheduler seed (the paper's year, as elsewhere in the harness).
 DEFAULT_SEED = 2018
@@ -125,75 +85,35 @@ DEFAULT_SEED = 2018
 #: Default output file, relative to the working directory.
 DEFAULT_OUT = "BENCH_simulator.json"
 
+#: Name bound of the naming workload.
+NAMING_BOUND = 8
+
 #: Largest population the O(N)-per-interaction reference backend is
 #: timed at; beyond this it is skipped (the fast/counts cells remain).
 REFERENCE_MAX_N = 2_000
 
-#: Population sizes of the ensemble-throughput section.
-ENSEMBLE_SIZES = (1_000, 100_000)
-
-#: Replicate counts of the ensemble-throughput section.
-ENSEMBLE_REPLICATES = (64, 256)
-
-#: Interaction budget per replicate in the ensemble section (scaled by
-#: ``--scale``/``--smoke`` like the per-run budgets).
-ENSEMBLE_BUDGET = 20_000
-
-#: Population size of the bleap section: the large-N regime where both
-#: lockstep batching and multinomial windowing engage.
-BLEAP_N = 100_000
-
-#: Replicate count of the bleap section (the engine's headline width).
-BLEAP_REPLICATES = 256
-
-#: Interaction budget per replicate in the bleap section (scaled by
-#: ``--scale``/``--smoke``).  Larger than the ensemble section's budget:
-#: at N = 10^5 a 2N-interaction run actually exercises the multinomial
-#: windowing regime, while 20k interactions are a warm-up sliver where
-#: fixed per-run costs dominate every engine equally.
-BLEAP_BUDGET = 200_000
-
-#: Population size of the leap-throughput section: large enough that
-#: per-interaction cost is the binding constraint for exact backends.
-LEAP_N = 1_000_000
-
-#: Interaction budget of the leap section (scaled by ``--scale``).
-LEAP_BUDGET = 10_000_000
-
-#: Population size of the fluid section: the regime where the O(N)
-#: agent-vector edges (initial construction, interning, final
-#: materialization) dominate the leap backend's end-to-end wall-clock
-#: and the counts-native fluid pipeline side-steps them.
-FLUID_N = 100_000_000
-
-#: Population size of the parallel section's lockstep cells.
-PARALLEL_N = 100_000
-
-#: Replicate count of the parallel section: wide enough that sharding
-#: the (R, S) lockstep matrix across workers has real work per shard.
-PARALLEL_REPLICATES = 1024
-
-#: Interaction budget per replicate in the parallel section (scaled by
-#: ``--scale``/``--smoke``), matching the bleap section's regime.
-PARALLEL_BUDGET = 200_000
-
-#: Cores below which the ``--parallel-floor`` gate reports and skips:
-#: a sharded run cannot beat serial without cores to shard across, so
-#: the floor is only meaningful on real multi-core hosts.
+#: Cores below which the parallel section's gates report and skip: a
+#: sharded run cannot beat serial without cores to shard across.
 PARALLEL_MIN_CORES = 4
 
-#: Name bound / mobile population of the parallel section's checker
-#: frontier cells (the full-scale instance; smoke shrinks it).
-PARALLEL_CHECK_BOUND = 10
-PARALLEL_CHECK_N = 12
+#: Worker count of the sharded cells: the core count, clamped to [2, 8]
+#: so the sharded path is exercised even on small machines.
+PARALLEL_JOBS = max(2, min(os.cpu_count() or 1, 8))
 
-#: The bench section names selectable via ``--sections``.
-SECTIONS = ("backends", "ensemble", "leap", "bleap", "fluid", "parallel")
+#: Serving burst: pool width, seeds per job and the bounds jobs cycle
+#: through.  Jobs are small, so per-call setup dominates - the regime
+#: the serving layer exists for.
+SERVE_WORKERS = 2
+SERVE_SEEDS_PER_JOB = 6
+SERVE_BOUNDS = (4, 6, 8)
 
-try:  # Provenance only; the engines guard their own NumPy use.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the test image ships NumPy
-    _np = None
+#: :class:`~repro.engine.simulator.RunStats` fields a measurement
+#: records when its backend populates them.
+STAT_FIELDS = (
+    "leaps", "mean_tau", "repairs", "ssa_fallback_rows", "ode_steps",
+    "handoff_time", "handoff_backend", "shards", "shm_bytes",
+    "copy_bytes_saved",
+)
 
 
 class ChurnProtocol(PopulationProtocol):
@@ -228,16 +148,31 @@ class ChurnProtocol(PopulationProtocol):
         return self._states
 
 
+@dataclass(frozen=True)
+class Cell:
+    """One row of a section's cell table.
+
+    ``replicates`` is the ensemble width (1 for per-run cells; for the
+    serving burst, the seeds summed over its jobs), ``budget`` the
+    interaction budget per run, ``bound`` the naming protocol's name
+    bound.
+    """
+
+    workload: str
+    n: int
+    replicates: int = 1
+    budget: int = 0
+    bound: int = NAMING_BOUND
+
+
 def _safe_rate(work: float, seconds: float) -> float:
     """``work / seconds`` with the zero-time edge cases pinned down.
 
-    ``seconds == 0`` happens when a run finishes inside one timer tick
-    (coarse clocks, trivial budgets).  Dividing would raise
-    ``ZeroDivisionError``; returning ``0.0`` would make an *infinitely
-    fast* run read as infinitely slow and spuriously trip the
-    ``--floor``/``--ensemble-floor``/``--leap-floor`` perf gates.  The
-    sentinel is therefore ``float("inf")`` when work was done in zero
-    measured time, and ``0.0`` only when no work was done at all.
+    ``seconds == 0`` happens when a run finishes inside one timer tick.
+    Returning ``0.0`` would make an *infinitely fast* run read as
+    infinitely slow and spuriously trip a gate, so the sentinel is
+    ``inf`` when work was done in zero measured time, and ``0.0`` only
+    when no work was done at all.
     """
     if seconds > 0:
         return work / seconds
@@ -245,173 +180,94 @@ def _safe_rate(work: float, seconds: float) -> float:
 
 
 @dataclass(frozen=True)
-class BenchPoint:
-    """One (workload, backend, N) throughput measurement."""
+class Measurement:
+    """One timed (workload, backend, N, R) cell of any section.
+
+    ``work`` counts ``unit`` (interactions, checker nodes or served
+    jobs); ``detail`` carries the backend's own statistics (leap
+    windows, ODE steps, shared-memory transport, pool counters).
+    """
 
     workload: str
     backend: str
     n_mobile: int
-    interactions: int
-    non_null_interactions: int
+    replicates: int
+    budget: int
+    work: int
     seconds: float
+    unit: str = "interactions"
+    detail: dict = field(default_factory=dict)
 
     @property
     def rate(self) -> float:
-        """Interactions per second (see :func:`_safe_rate` for the
-        zero-time sentinel)."""
-        return _safe_rate(self.interactions, self.seconds)
+        """Work units per second (zero-time sentinel: :func:`_safe_rate`)."""
+        return _safe_rate(self.work, self.seconds)
+
+    @property
+    def runs_per_second(self) -> float:
+        """Replicate runs per second (zero-time sentinel as for rate)."""
+        return _safe_rate(self.replicates, self.seconds)
 
 
-def workloads() -> dict[str, PopulationProtocol]:
-    """The benchmarked protocols, by workload name."""
-    return {
-        "naming": AsymmetricNamingProtocol(8),
-        "churn": ChurnProtocol(),
-    }
+def _timed(run: Callable[[], object], repeats: int = 1) -> tuple:
+    """``(result, best wall-clock of repeats)`` of calling ``run()``.
 
-
-def _budget(n_mobile: int, scale: float) -> int:
-    """Interaction budget for a population size (same for all backends).
-
-    Small populations get budgets inversely proportional to N (the
-    reference backend pays O(N) per interaction); large populations -
-    where only the fast and counts backends run - get ``10 * N`` capped
-    at two million, enough interactions for the rates to stabilize.
+    Repeats are seed-identical, so the fastest one is the same
+    computation with the least machine noise - what ratio gates need.
     """
-    if n_mobile >= 10_000:
-        base = min(10 * n_mobile, 2_000_000)
-    else:
-        base = max(50_000, 2_000_000 // n_mobile)
-    return max(2_000, int(base * scale))
+    best = math.inf
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = run()
+        best = min(best, time.perf_counter() - start)
+    return result, best
+
+
+def _measured(
+    cell: Cell, backend: str, results: list, seconds: float, stats=None,
+    **detail,
+) -> Measurement:
+    """A :class:`Measurement` over one cell's simulation results."""
+    detail["non_null_interactions"] = sum(
+        r.non_null_interactions for r in results
+    )
+    for name in STAT_FIELDS:
+        value = getattr(stats, name, None)
+        if value is not None:
+            detail[name] = value
+    return Measurement(
+        cell.workload, backend, cell.n, cell.replicates, cell.budget,
+        work=sum(r.interactions for r in results), seconds=seconds,
+        detail=detail,
+    )
+
+
+def _protocol(cell: Cell) -> PopulationProtocol:
+    if cell.workload == "churn":
+        return ChurnProtocol()
+    return AsymmetricNamingProtocol(cell.bound)
 
 
 def _spread_initial(
     protocol: PopulationProtocol, population: Population
 ) -> Configuration:
-    """Deal the protocol's mobile states round-robin over the agents.
-
-    Keeps the null/non-null interaction mix stationary from the first
-    interaction, so the bench measures steady per-interaction cost
-    rather than the protocol's transient from a uniform start.
-    """
+    """Deal the protocol's mobile states round-robin over the agents."""
     space = sorted(protocol.mobile_state_space())
     states = tuple(space[i % len(space)] for i in range(population.size))
     return Configuration(states, None)
 
 
-def run_bench(
-    sizes: tuple[int, ...] = DEFAULT_SIZES,
-    seed: int = DEFAULT_SEED,
-    scale: float = 1.0,
-) -> list[BenchPoint]:
-    """Measure every (workload, N, backend) cell.
-
-    Both backends run the same protocol, seed and budget; their results
-    are compared for equality (a run-time differential check) before the
-    timings are reported.
-    """
-    points: list[BenchPoint] = []
-    for workload, protocol in workloads().items():
-        for n in sizes:
-            budget = _budget(n, scale)
-            outcomes = {}
-            for backend in sorted(BACKENDS):
-                if backend == "reference" and n > REFERENCE_MAX_N:
-                    continue  # O(N) per interaction: prohibitive here
-                if backend == "batch":
-                    # An ensemble engine: a width-1 lockstep batch only
-                    # measures kernel-launch overhead.  Benchmarked at
-                    # its real width in the ensemble section instead.
-                    continue
-                if backend == "leap":
-                    # Approximate window-aggregation engine: at the
-                    # small grid sizes it runs as exact SSA anyway.
-                    # Benchmarked at N = 10^6 in the leap section
-                    # instead, where windowing actually engages.
-                    continue
-                if backend == "bleap":
-                    # Batched tau-leaping ensemble engine: a width-1
-                    # run measures neither batching nor windowing.
-                    # Benchmarked at its real width and size in the
-                    # bleap section instead.
-                    continue
-                if backend == "fluid":
-                    # Mean-field fast-forward engine: at grid sizes the
-                    # whole run is stochastic (it hands off to leap at
-                    # interaction 0).  Benchmarked at N = 10^8 in the
-                    # fluid section instead, where the ODE and the
-                    # counts-native pipeline actually engage.
-                    continue
-                population = Population(n)
-                scheduler = RandomPairScheduler(population, seed=seed)
-                simulator = make_simulator(
-                    backend, protocol, population, scheduler, NamingProblem()
-                )
-                initial = _spread_initial(protocol, population)
-                start = time.perf_counter()
-                result = simulator.run(initial, max_interactions=budget)
-                elapsed = time.perf_counter() - start
-                outcomes[backend] = result
-                points.append(
-                    BenchPoint(
-                        workload=workload,
-                        backend=backend,
-                        n_mobile=n,
-                        interactions=result.interactions,
-                        non_null_interactions=result.non_null_interactions,
-                        seconds=elapsed,
-                    )
-                )
-            # The fast backend consumes the scheduler stream identically
-            # to the reference loop, so their results must be equal (the
-            # counts backend uses its own randomness and is validated
-            # statistically in the test suite).
-            if (
-                "reference" in outcomes
-                and outcomes["fast"] != outcomes["reference"]
-            ):
-                raise SimulationError(
-                    f"backend divergence on workload {workload!r} at "
-                    f"N={n}, seed={seed}: fast and reference results differ"
-                )
-    return points
-
-
-@dataclass(frozen=True)
-class EnsembleBenchPoint:
-    """One (engine, N, R) ensemble-throughput measurement."""
-
-    engine: str
-    n_mobile: int
-    replicates: int
-    interactions: int
-    non_null_interactions: int
-    seconds: float
-
-    @property
-    def rate(self) -> float:
-        """Pooled interactions per second across the ensemble (see
-        :func:`_safe_rate` for the zero-time sentinel)."""
-        return _safe_rate(self.interactions, self.seconds)
-
-    @property
-    def runs_per_second(self) -> float:
-        """Completed replicate runs per second (see :func:`_safe_rate`
-        for the zero-time sentinel)."""
-        return _safe_rate(self.replicates, self.seconds)
-
-
 def _bench_scheduler(population: Population, seed: int):
-    """Module-level scheduler factory for the ensemble section."""
+    """Module-level (picklable) scheduler factory."""
     return RandomPairScheduler(population, seed=seed)
 
 
 class _SpreadInitialFactory:
     """Seed-independent spread initial, built once per population size.
 
-    The spread configuration does not depend on the seed, so building it
-    per replicate would charge O(R * N) pure-Python tuple construction
-    to both engines and drown the quantity under measurement.
+    Building it per replicate would charge O(R * N) pure-Python tuple
+    construction to every engine and drown the quantity under
+    measurement.
     """
 
     def __init__(self, protocol: PopulationProtocol) -> None:
@@ -426,761 +282,458 @@ class _SpreadInitialFactory:
         return config
 
 
-def run_ensemble_bench(
-    sizes: tuple[int, ...] = ENSEMBLE_SIZES,
-    replicates: tuple[int, ...] = ENSEMBLE_REPLICATES,
-    seed: int = DEFAULT_SEED,
-    scale: float = 1.0,
-) -> list[EnsembleBenchPoint]:
-    """Measure ensemble throughput: lockstep batch vs per-run counts.
+def _uniform_initial(population: Population, seed: int) -> Configuration:
+    """Module-level (picklable) all-zero initial factory."""
+    return Configuration.uniform(population, 0)
 
-    Both engines run the identical naming workload - same seeds, same
-    spread initial, same per-replicate budget - through
-    :func:`~repro.engine.ensemble.run_ensemble` with ``n_jobs=1``, so
-    the comparison isolates lockstep batching from process parallelism
-    (the two compose: each worker of a parallel ensemble runs its chunk
-    as a lockstep batch).
+
+def measure_runs(
+    cell: Cell, seed: int, backends: tuple[str, ...]
+) -> list[Measurement]:
+    """Single runs of ``backends`` on one shared spread start.
+
+    Fast and reference consume the same scheduler stream, so when both
+    ran their results must be equal - a run-time differential check
+    that aborts the bench with :class:`~repro.errors.SimulationError`.
     """
-    protocol = workloads()["naming"]
-    budget = max(1_000, int(ENSEMBLE_BUDGET * scale))
-    points: list[EnsembleBenchPoint] = []
-    for n in sizes:
-        population = Population(n)
-        initial_factory = _SpreadInitialFactory(protocol)
-        for r in replicates:
-            seeds = range(seed, seed + r)
-            for engine in ("counts", "batch"):
-                # Best-of-three: the runs are seed-identical, so the
-                # fastest repeat is the same computation with less
-                # scheduler noise - the number the ratio gates need.
-                # The batch/counts gate sits near 1x by design (the
-                # lockstep win over chunked counts is structural but
-                # modest), so this cell gets one more repeat than the
-                # backend ladder to keep the ratio stable in CI.
-                elapsed = math.inf
-                for _ in range(3):
-                    start = time.perf_counter()
-                    ensemble = run_ensemble(
-                        protocol,
-                        population,
-                        _bench_scheduler,
-                        initial_factory,
-                        NamingProblem(),
-                        seeds=seeds,
-                        max_interactions=budget,
-                        backend=engine,
-                    )
-                    elapsed = min(
-                        elapsed, time.perf_counter() - start
-                    )
-                points.append(
-                    EnsembleBenchPoint(
-                        engine=engine,
-                        n_mobile=n,
-                        replicates=r,
-                        interactions=sum(
-                            res.interactions for res in ensemble.results
-                        ),
-                        non_null_interactions=sum(
-                            res.non_null_interactions
-                            for res in ensemble.results
-                        ),
-                        seconds=elapsed,
-                    )
-                )
-    return points
-
-
-def ensemble_speedups(
-    points: list[EnsembleBenchPoint],
-) -> dict[str, dict[str, float]]:
-    """Batch-over-counts rate ratios, ``{str(N): {"R=r": ratio}}``."""
-    rates: dict[tuple[int, int], dict[str, float]] = {}
-    for p in points:
-        rates.setdefault((p.n_mobile, p.replicates), {})[p.engine] = p.rate
-    out: dict[str, dict[str, float]] = {}
-    for (n, r), per_engine in sorted(rates.items()):
-        counts = per_engine.get("counts")
-        batch = per_engine.get("batch")
-        if counts and batch:
-            out.setdefault(str(n), {})[f"R={r}"] = batch / counts
-    return out
-
-
-def ensemble_floor_rate(points: list[EnsembleBenchPoint]) -> float | None:
-    """The batch engine's rate at the widest, largest measured cell.
-
-    The headline claim of the batch engine is many-replicate throughput,
-    so the ``--ensemble-floor`` gate guards the cell with the most
-    replicates (ties broken by population size).  Returns ``None`` when
-    no batch cell was measured.
-    """
-    cells = [p for p in points if p.engine == "batch"]
-    if not cells:
-        return None
-    return max(cells, key=lambda p: (p.replicates, p.n_mobile)).rate
-
-
-def ensemble_ratio_floor(points: list[EnsembleBenchPoint]) -> float | None:
-    """Batch/counts rate ratio at the widest cell of the largest N.
-
-    The machine-independent number the ``--ensemble-ratio-floor`` gate
-    guards: in the batch engine's target regime - the cell with the
-    most replicates at the largest measured population - lockstep
-    batching must keep up with chunked per-run counts dispatch (a ratio
-    >= 1 means the regression is fixed; the pre-fix kernel dipped to
-    ~0.5x at N = 10^5).  Narrow cells are reported in the table but not
-    gated: with few rows the vectorized step cannot amortize its
-    dispatch overhead against the counts backend's scalar loop, which
-    is exactly why ``backend="auto"`` hands large-N ensembles to bleap.
-    Returns ``None`` when no complete cell was measured.
-    """
-    ratios = ensemble_speedups(points)
-    if not ratios:
-        return None
-    largest = max(ratios, key=int)
-    cells = ratios[largest]
-    if not cells:
-        return None
-    widest = max(cells, key=lambda k: int(k.split("=", 1)[1]))
-    return cells[widest]
-
-
-def render_ensemble_points(points: list[EnsembleBenchPoint]) -> str:
-    """Render the ensemble measurements as an aligned text table."""
-    ratio = ensemble_speedups(points)
-    rows = []
-    for p in points:
-        shown = ""
-        if p.engine == "batch":
-            pair = ratio.get(str(p.n_mobile), {}).get(f"R={p.replicates}")
-            shown = f"{pair:.1f}x vs counts" if pair else ""
-        rows.append(
-            (
-                p.n_mobile,
-                p.replicates,
-                p.engine,
-                f"{p.seconds * 1000:.0f} ms",
-                f"{p.runs_per_second:,.1f}/s",
-                f"{p.rate:,.0f}/s",
-                shown,
-            )
-        )
-    return render_table(
-        ("N", "R", "engine", "time", "runs", "interactions", "speedup"),
-        rows,
-        title="ensemble throughput (naming workload, n_jobs=1)",
-    )
-
-
-@dataclass(frozen=True)
-class LeapBenchPoint:
-    """One (backend, N) leap-section throughput measurement.
-
-    ``leaps``/``mean_tau``/``repairs`` mirror the leap fields of
-    :class:`~repro.engine.simulator.RunStats` and are ``None`` for the
-    exact counts baseline.
-    """
-
-    backend: str
-    n_mobile: int
-    interactions: int
-    non_null_interactions: int
-    seconds: float
-    leaps: int | None = None
-    mean_tau: float | None = None
-    repairs: int | None = None
-
-    @property
-    def rate(self) -> float:
-        """Interactions per second (see :func:`_safe_rate` for the
-        zero-time sentinel)."""
-        return _safe_rate(self.interactions, self.seconds)
-
-
-def run_leap_bench(
-    n: int = LEAP_N,
-    seed: int = DEFAULT_SEED,
-    scale: float = 1.0,
-    leap_eps: float | None = None,
-) -> list[LeapBenchPoint]:
-    """Measure the leap backend against exact counts at large N.
-
-    Both backends run the identical naming workload - same protocol,
-    seed, spread initial and interaction budget - so the rate ratio
-    isolates multinomial window aggregation from everything else.  The
-    counts baseline runs first, so a leap-side crash cannot hide the
-    exact number.
-    """
-    protocol = workloads()["naming"]
-    budget = max(50_000, int(LEAP_BUDGET * scale))
-    points: list[LeapBenchPoint] = []
-    population = Population(n)
-    # One shared immutable start: both backends intern the identical
-    # configuration (its state tally is cached on the instance), so the
-    # measured gap is the per-interaction engines, not setup.
+    protocol = _protocol(cell)
+    population = Population(cell.n)
     initial = _spread_initial(protocol, population)
-    for backend in ("counts", "leap"):
-        scheduler = RandomPairScheduler(population, seed=seed)
+    points, outcomes = [], {}
+    for backend in backends:
+        if backend == "reference" and cell.n > REFERENCE_MAX_N:
+            continue  # O(N) per interaction: prohibitive here
         simulator = make_simulator(
-            backend,
-            protocol,
-            population,
-            scheduler,
-            NamingProblem(),
-            leap_eps=leap_eps if backend == "leap" else None,
+            backend, protocol, population,
+            RandomPairScheduler(population, seed=seed), NamingProblem(),
         )
-        start = time.perf_counter()
-        result = simulator.run(initial, max_interactions=budget)
-        elapsed = time.perf_counter() - start
-        stats = result.stats
+        result, seconds = _timed(
+            lambda: simulator.run(initial, max_interactions=cell.budget)
+        )
+        outcomes[backend] = result
         points.append(
-            LeapBenchPoint(
-                backend=backend,
-                n_mobile=n,
-                interactions=result.interactions,
-                non_null_interactions=result.non_null_interactions,
-                seconds=elapsed,
-                leaps=getattr(stats, "leaps", None),
-                mean_tau=getattr(stats, "mean_tau", None),
-                repairs=getattr(stats, "repairs", None),
+            _measured(cell, backend, [result], seconds, result.stats)
+        )
+    if "reference" in outcomes and outcomes["fast"] != outcomes["reference"]:
+        raise SimulationError(
+            f"backend divergence on workload {cell.workload!r} at "
+            f"N={cell.n}, seed={seed}: fast and reference results differ"
+        )
+    return points
+
+
+def measure_ensembles(
+    cell: Cell,
+    seed: int,
+    runs: tuple[tuple[str, str, int], ...],
+    repeats: int = 1,
+) -> list[Measurement]:
+    """``run_ensemble`` per ``(label, backend, n_jobs)``, baseline first.
+
+    Every run uses the same seeds, spread initial and per-replicate
+    budget, so the ratios isolate the engines (or the transport).
+    """
+    protocol = _protocol(cell)
+    population = Population(cell.n)
+    initial = _SpreadInitialFactory(protocol)
+    seeds = range(seed, seed + cell.replicates)
+    points = []
+    for label, backend, n_jobs in runs:
+        ensemble, seconds = _timed(
+            lambda: run_ensemble(
+                protocol, population, _bench_scheduler, initial,
+                NamingProblem(), seeds=seeds,
+                max_interactions=cell.budget, backend=backend,
+                n_jobs=n_jobs,
+            ),
+            repeats,
+        )
+        points.append(
+            _measured(
+                cell, label, ensemble.results, seconds, ensemble.stats,
+                jobs=n_jobs,
             )
         )
     return points
 
 
-def leap_speedup(points: list[LeapBenchPoint]) -> float | None:
-    """Leap-over-counts rate ratio, or ``None`` if a cell is missing."""
-    rates = {p.backend: p.rate for p in points}
-    counts = rates.get("counts")
-    leap = rates.get("leap")
-    if not counts or not leap:
-        return None
-    return leap / counts
+def measure_fluid(cell: Cell, seed: int) -> list[Measurement]:
+    """Leap vs fluid over one horizon from the all-zero start, end to end.
 
-
-def render_leap_points(points: list[LeapBenchPoint]) -> str:
-    """Render the leap measurements as an aligned text table."""
-    ratio = leap_speedup(points)
-    rows = []
-    for p in points:
-        if p.leaps is not None:
-            detail = (
-                f"{p.leaps} leaps, mean tau {p.mean_tau:,.0f}, "
-                f"{p.repairs} repairs"
-            )
-            shown = f"{ratio:.1f}x vs counts" if ratio else ""
-        else:
-            detail = "exact baseline"
-            shown = ""
-        rows.append(
-            (
-                p.n_mobile,
-                p.backend,
-                p.interactions,
-                f"{p.seconds * 1000:.0f} ms",
-                f"{p.rate:,.0f}/s",
-                detail,
-                shown,
-            )
-        )
-    return render_table(
-        ("N", "backend", "interactions", "time", "rate", "windows",
-         "speedup"),
-        rows,
-        title="leap throughput (naming workload, counts vs leap)",
-    )
-
-
-@dataclass(frozen=True)
-class BleapBenchPoint(EnsembleBenchPoint):
-    """One (engine, N, R) bleap-section measurement.
-
-    Extends the ensemble point with the aggregated leap statistics of
-    :class:`~repro.engine.ensemble.EnsembleResult`; the fields stay
-    ``None`` for the exact counts baseline.
+    The uniform start is the protocol's genuine transient, so the ODE
+    has a cascade to fast-forward.  The leap cell's timing includes
+    building its O(N) agent vector; the fluid cell runs counts-native.
     """
-
-    leaps: int | None = None
-    mean_tau: float | None = None
-    repairs: int | None = None
-    ssa_fallback_rows: int | None = None
-
-
-def run_bleap_bench(
-    n: int = BLEAP_N,
-    replicates: int = BLEAP_REPLICATES,
-    seed: int = DEFAULT_SEED,
-    scale: float = 1.0,
-) -> list[BleapBenchPoint]:
-    """Measure the bleap engine against chunked per-run counts dispatch.
-
-    Both engines run the identical naming workload - same seeds, same
-    spread initial, same per-replicate budget (:data:`BLEAP_BUDGET`,
-    deep enough that the multinomial windows engage) - through
-    :func:`~repro.engine.ensemble.run_ensemble` with ``n_jobs=1``.  The
-    counts baseline runs first, so a bleap-side crash cannot hide the
-    exact number.
-    """
-    protocol = workloads()["naming"]
-    budget = max(1_000, int(BLEAP_BUDGET * scale))
-    population = Population(n)
-    initial_factory = _SpreadInitialFactory(protocol)
-    seeds = range(seed, seed + replicates)
-    points: list[BleapBenchPoint] = []
-    for engine in ("counts", "bleap"):
-        # Best-of-two, like the ensemble section: same seeds, same
-        # computation, the faster repeat carries less machine noise.
-        elapsed = math.inf
-        for _ in range(2):
-            start = time.perf_counter()
-            ensemble = run_ensemble(
-                protocol,
-                population,
-                _bench_scheduler,
-                initial_factory,
-                NamingProblem(),
-                seeds=seeds,
-                max_interactions=budget,
-                backend=engine,
-            )
-            elapsed = min(elapsed, time.perf_counter() - start)
-        stats = ensemble.stats
-        points.append(
-            BleapBenchPoint(
-                engine=engine,
-                n_mobile=n,
-                replicates=replicates,
-                interactions=sum(
-                    res.interactions for res in ensemble.results
-                ),
-                non_null_interactions=sum(
-                    res.non_null_interactions for res in ensemble.results
-                ),
-                seconds=elapsed,
-                leaps=stats.leaps,
-                mean_tau=stats.mean_tau,
-                repairs=stats.repairs,
-                ssa_fallback_rows=stats.ssa_fallback_rows,
-            )
-        )
-    return points
-
-
-def bleap_speedup(points: list[BleapBenchPoint]) -> float | None:
-    """Bleap-over-counts rate ratio, or ``None`` if a cell is missing."""
-    rates = {p.engine: p.rate for p in points}
-    counts = rates.get("counts")
-    bleap = rates.get("bleap")
-    if not counts or not bleap:
-        return None
-    return bleap / counts
-
-
-def render_bleap_points(points: list[BleapBenchPoint]) -> str:
-    """Render the bleap measurements as an aligned text table."""
-    ratio = bleap_speedup(points)
-    rows = []
-    for p in points:
-        if p.leaps is not None:
-            detail = (
-                f"{p.leaps} leaps, mean tau {p.mean_tau:,.0f}, "
-                f"{p.ssa_fallback_rows} SSA rows"
-            )
-            shown = f"{ratio:.1f}x vs counts" if ratio else ""
-        else:
-            detail = "exact baseline"
-            shown = ""
-        rows.append(
-            (
-                p.n_mobile,
-                p.replicates,
-                p.engine,
-                f"{p.seconds * 1000:.0f} ms",
-                f"{p.runs_per_second:,.1f}/s",
-                f"{p.rate:,.0f}/s",
-                detail,
-                shown,
-            )
-        )
-    return render_table(
-        ("N", "R", "engine", "time", "runs", "interactions", "windows",
-         "speedup"),
-        rows,
-        title="bleap throughput (naming ensembles, counts vs bleap)",
+    protocol = _protocol(cell)
+    population = Population(cell.n)
+    zero = min(protocol.mobile_state_space())
+    leap = make_simulator(
+        "leap", protocol, population,
+        RandomPairScheduler(population, seed=seed), NamingProblem(),
     )
-
-
-@dataclass(frozen=True)
-class FluidBenchPoint:
-    """One (backend, N) fluid-section measurement.
-
-    Unlike the other sections, ``seconds`` is end to end: the leap cell
-    includes building its O(N) agent-vector initial configuration, the
-    fluid cell the O(|states|) counts mapping it runs from.  The ODE
-    fields mirror :class:`~repro.engine.simulator.RunStats` and are
-    ``None`` for the stochastic leap baseline.
-    """
-
-    backend: str
-    n_mobile: int
-    interactions: int
-    seconds: float
-    ode_steps: int | None = None
-    handoff_time: float | None = None
-    handoff_backend: str | None = None
-
-    @property
-    def rate(self) -> float:
-        """Interactions per second (see :func:`_safe_rate` for the
-        zero-time sentinel)."""
-        return _safe_rate(self.interactions, self.seconds)
-
-
-def run_fluid_bench(
-    n: int = FLUID_N,
-    seed: int = DEFAULT_SEED,
-    scale: float = 1.0,
-) -> list[FluidBenchPoint]:
-    """Measure the fluid tier against leap on the full naming horizon.
-
-    Both cells run the identical workload from the uniform all-zero
-    start - the protocol's genuine transient, so the mean-field ODE has
-    a cascade to fast-forward (the spread start the other sections use
-    is already the fluid fixed point).  Timing is *end to end*: the
-    leap cell pays the O(N) agent-vector round-trip (initial tuple,
-    state-tally interning) that dominates beyond N = 10^7, while the
-    fluid cell goes counts-native through
-    :meth:`~repro.engine.fluid.FluidSimulator.run_counts` and never
-    builds an agent vector at all.  The leap cell runs first, so a
-    fluid-side crash cannot hide the stochastic number.
-    """
-    protocol = workloads()["naming"]
-    budget = max(100_000, int(10 * n * scale))
-    zero_state = sorted(protocol.mobile_state_space())[0]
-    population = Population(n)
-    points: list[FluidBenchPoint] = []
-    scheduler = RandomPairScheduler(population, seed=seed)
-    simulator = make_simulator(
-        "leap", protocol, population, scheduler, NamingProblem()
-    )
-    start = time.perf_counter()
-    initial = Configuration((zero_state,) * n, None)
-    result = simulator.run(initial, max_interactions=budget)
-    elapsed = time.perf_counter() - start
-    points.append(
-        FluidBenchPoint(
-            backend="leap",
-            n_mobile=n,
-            interactions=result.interactions,
-            seconds=elapsed,
-        )
-    )
-    scheduler = RandomPairScheduler(population, seed=seed)
     fluid = FluidSimulator(
-        protocol, population, scheduler, problem=NamingProblem()
+        protocol, population, RandomPairScheduler(population, seed=seed),
+        problem=NamingProblem(),
     )
-    start = time.perf_counter()
-    result = fluid.run_counts({zero_state: n}, max_interactions=budget)
-    elapsed = time.perf_counter() - start
-    stats = result.stats
-    points.append(
-        FluidBenchPoint(
-            backend="fluid",
-            n_mobile=n,
-            interactions=result.interactions,
-            seconds=elapsed,
-            ode_steps=stats.ode_steps if stats else None,
-            handoff_time=stats.handoff_time if stats else None,
-            handoff_backend=stats.handoff_backend if stats else None,
+    result, leap_seconds = _timed(
+        lambda: leap.run(
+            Configuration((zero,) * cell.n, None),
+            max_interactions=cell.budget,
         )
     )
+    points = [_measured(cell, "leap", [result], leap_seconds, result.stats)]
+    result, seconds = _timed(
+        lambda: fluid.run_counts({zero: cell.n}, max_interactions=cell.budget)
+    )
+    points.append(_measured(cell, "fluid", [result], seconds, result.stats))
     return points
 
 
-def fluid_speedup(points: list[FluidBenchPoint]) -> float | None:
-    """Fluid-over-leap wall-clock ratio, or ``None`` if a cell is
-    missing.
-
-    A time ratio rather than a rate ratio: both cells run the same
-    interaction horizon, and the fluid claim is finishing it sooner -
-    including every O(N) setup edge the leap pipeline pays.
-    """
-    seconds = {p.backend: p.seconds for p in points}
-    leap = seconds.get("leap")
-    fluid = seconds.get("fluid")
-    if not leap or not fluid:
-        return None
-    return leap / fluid
-
-
-def render_fluid_points(points: list[FluidBenchPoint]) -> str:
-    """Render the fluid measurements as an aligned text table."""
-    ratio = fluid_speedup(points)
-    rows = []
-    for p in points:
-        if p.ode_steps is not None:
-            detail = (
-                f"{p.ode_steps} ODE steps, handoff at "
-                f"{p.handoff_time:,.0f} -> {p.handoff_backend}"
-            )
-            shown = f"{ratio:.1f}x vs leap" if ratio else ""
-        else:
-            detail = "stochastic baseline (end to end)"
-            shown = ""
-        rows.append(
-            (
-                p.n_mobile,
-                p.backend,
-                p.interactions,
-                f"{p.seconds * 1000:.0f} ms",
-                f"{p.rate:,.0f}/s",
-                detail,
-                shown,
+def measure_parallel(cell: Cell, seed: int) -> list[Measurement]:
+    """Serial vs sharded: a bleap ensemble, or the checker's frontier."""
+    if cell.workload == "lockstep":
+        return measure_ensembles(
+            cell, seed,
+            (("serial", "bleap", 1), ("sharded", "bleap", PARALLEL_JOBS)),
+        )
+    points = []
+    for mode, n_jobs in (("serial", 1), ("sharded", PARALLEL_JOBS)):
+        system = CountsSystem(AsymmetricNamingProtocol(cell.bound))
+        roots = system.root_matrix(cell.n, "auto", None, None)
+        reached, seconds = _timed(
+            lambda: reach(system, roots, n_jobs=n_jobs)
+        )
+        points.append(
+            Measurement(
+                cell.workload, mode, cell.n, 1, 0, reached.n_nodes,
+                seconds, unit="nodes",
+                detail={"bound": cell.bound, "jobs": n_jobs},
             )
         )
-    return render_table(
-        ("N", "backend", "interactions", "time", "rate", "mean field",
-         "speedup"),
-        rows,
-        title="fluid fast-forward (naming workload, leap vs fluid)",
-    )
+    return points
+
+
+def _serve_jobs(cell: Cell, seed: int) -> list[JobSpec]:
+    """The burst: jobs cycling through :data:`SERVE_BOUNDS`.
+
+    Jobs carry *distinct* seed sets, so the warm pass cannot shortcut
+    through the result memo - it measures the pool, the artifact cache
+    and hash shipping, nothing else.
+    """
+    return [
+        JobSpec(
+            protocol=AsymmetricNamingProtocol(
+                SERVE_BOUNDS[j % len(SERVE_BOUNDS)]
+            ),
+            population=Population(cell.n),
+            scheduler_factory=_bench_scheduler,
+            initial_factory=_uniform_initial,
+            problem=NamingProblem(),
+            seeds=tuple(
+                seed + 1_000 * j + r for r in range(SERVE_SEEDS_PER_JOB)
+            ),
+            max_interactions=cell.budget,
+            backend="batch",
+        )
+        for j in range(cell.replicates // SERVE_SEEDS_PER_JOB)
+    ]
+
+
+def measure_serve(cell: Cell, seed: int) -> list[Measurement]:
+    """Cold per-call ``run_ensemble`` vs a warm pool vs memo replay.
+
+    Cold pays a fresh executor (at the pool's width) and per-task
+    protocol pickling per job; warm submits the whole burst to a warmed
+    :class:`~repro.serve.pool.ServePool`; memo resubmits it.  Aborts
+    (``RuntimeError``) unless every warm and memoized ensemble is
+    bit-identical to its cold counterpart.
+    """
+    jobs = _serve_jobs(cell, seed)
+
+    def cold() -> list:
+        return [
+            run_ensemble(
+                spec.protocol, spec.population, spec.scheduler_factory,
+                spec.initial_factory, spec.problem, list(spec.seeds),
+                max_interactions=spec.max_interactions,
+                backend=spec.backend, n_jobs=SERVE_WORKERS,
+            )
+            for spec in jobs
+        ]
+
+    def burst() -> list:
+        handles = [pool.submit(spec) for spec in jobs]  # all up front
+        return [handle.result() for handle in handles]
+
+    cold_results, cold_seconds = _timed(cold)
+    with ServePool(max_workers=SERVE_WORKERS) as pool:
+        pool.warm()
+        warm_results, warm_seconds = _timed(burst)
+        warm_hits = pool.memo_hits
+        memo_results, memo_seconds = _timed(burst)
+        stats = pool.stats()
+    if warm_hits:
+        raise RuntimeError(
+            "serve bench warm pass hit the result memo; jobs must carry "
+            "distinct seed sets"
+        )
+    for name, results in (("warm", warm_results), ("memo", memo_results)):
+        for j, (got, want) in enumerate(zip(results, cold_results)):
+            if got.results != want.results or got.seeds != want.seeds:
+                raise RuntimeError(
+                    f"serve bench differential check failed: {name} job "
+                    f"{j} differs from the cold run_ensemble baseline"
+                )
+    return [
+        Measurement(
+            cell.workload, name, cell.n, cell.replicates, cell.budget,
+            len(jobs), seconds, unit="jobs",
+            detail={"workers": SERVE_WORKERS, **extra},
+        )
+        for name, seconds, extra in (
+            ("cold", cold_seconds, {}),
+            ("warm", warm_seconds, {}),
+            ("memo", memo_seconds, stats),
+        )
+    ]
 
 
 @dataclass(frozen=True)
-class ParallelBenchPoint:
-    """One parallel-section measurement.
+class Section:
+    """One row of the bench table.
 
-    ``kind`` is ``"lockstep"`` (an ensemble run; ``work`` counts
-    interactions) or ``"frontier"`` (a symbolic reach; ``work`` counts
-    quotient nodes).  ``mode`` is ``"serial"`` or ``"sharded"``; the
-    shared-memory transport fields are filled only on sharded lockstep
-    cells that actually took the zero-copy path.
+    ``pairs`` are the ``candidate/baseline`` ratios reported per cell
+    (wall-clock ratios when ``by_time``, rate ratios otherwise);
+    ``metrics`` the names ``--gate`` may read; gates on a section with
+    ``min_cores`` report but skip on hosts with fewer cores.
     """
 
-    kind: str
-    mode: str
-    n_mobile: int
-    replicates: int | None
-    work: int
-    seconds: float
-    jobs: int
-    shards: int | None = None
-    shm_bytes: int | None = None
-    copy_bytes_saved: int | None = None
-
-    @property
-    def rate(self) -> float:
-        """Work units (interactions or nodes) per second."""
-        return _safe_rate(self.work, self.seconds)
+    name: str
+    title: str
+    measure: Callable[[Cell, int], list[Measurement]]
+    full: tuple[Cell, ...]
+    smoke: tuple[Cell, ...]
+    pairs: tuple[str, ...]
+    metrics: tuple[str, ...]
+    by_time: bool = False
+    min_cores: int = 0
 
 
-def run_parallel_bench(
-    n: int = PARALLEL_N,
-    replicates: int = PARALLEL_REPLICATES,
-    seed: int = DEFAULT_SEED,
-    scale: float = 1.0,
-    jobs: int | None = None,
-) -> list[ParallelBenchPoint]:
-    """Measure the shared-memory parallel layer against serial execution.
-
-    Two workload pairs, serial first in each so a parallel-side crash
-    cannot hide the baseline:
-
-    * **lockstep**: the bleap engine at (R, N) - one wide lockstep
-      ensemble - serial versus sharded over
-      :mod:`repro.engine.parallel` (one worker chunk per job, raw rows
-      written to shared memory, zero result pickling).  Results are
-      bit-identical by construction, so the cells measure pure
-      transport and parallelism.
-    * **frontier**: the symbolic checker's reach fixpoint, serial
-      versus the sharded frontier expansion of
-      :func:`repro.analysis.symbolic.reach`.
-
-    ``jobs`` defaults to the host's core count (at least 2, so the
-    sharded path is exercised even on small machines).
-    """
-    if jobs is None:
-        jobs = max(2, min(os.cpu_count() or 1, 8))
-    protocol = workloads()["naming"]
-    budget = max(1_000, int(PARALLEL_BUDGET * scale))
-    if scale < 1.0:
-        replicates = max(32, int(replicates * scale))
-    population = Population(n)
-    initial_factory = _SpreadInitialFactory(protocol)
-    seeds = range(seed, seed + replicates)
-    points: list[ParallelBenchPoint] = []
-    for mode, n_jobs in (("serial", 1), ("sharded", jobs)):
-        start = time.perf_counter()
-        ensemble = run_ensemble(
-            protocol,
-            population,
-            _bench_scheduler,
-            initial_factory,
-            NamingProblem(),
-            seeds=seeds,
-            max_interactions=budget,
-            backend="bleap",
-            n_jobs=n_jobs,
-        )
-        elapsed = time.perf_counter() - start
-        stats = ensemble.stats
-        points.append(
-            ParallelBenchPoint(
-                kind="lockstep",
-                mode=mode,
-                n_mobile=n,
-                replicates=replicates,
-                work=sum(res.interactions for res in ensemble.results),
-                seconds=elapsed,
-                jobs=n_jobs,
-                shards=stats.shards,
-                shm_bytes=stats.shm_bytes,
-                copy_bytes_saved=stats.copy_bytes_saved,
-            )
-        )
-    from repro.analysis.symbolic import CountsSystem, reach
-    from repro.core.asymmetric import AsymmetricNamingProtocol
-
-    bound, check_n = (
-        (PARALLEL_CHECK_BOUND, PARALLEL_CHECK_N)
-        if scale >= 0.5
-        else (6, 9)
+def _grid(workloads, sizes, widths=(1,)) -> tuple[Cell, ...]:
+    """Cells over ``workloads x ((N, budget), ...) x widths``."""
+    return tuple(
+        Cell(w, n, r, budget)
+        for w in workloads for n, budget in sizes for r in widths
     )
-    check_protocol = AsymmetricNamingProtocol(bound)
-    for mode, n_jobs in (("serial", 1), ("sharded", jobs)):
-        system = CountsSystem(check_protocol)
-        roots = system.root_matrix(check_n, "auto", None, None)
-        start = time.perf_counter()
-        rs = reach(system, roots, n_jobs=n_jobs)
-        elapsed = time.perf_counter() - start
-        points.append(
-            ParallelBenchPoint(
-                kind="frontier",
-                mode=mode,
-                n_mobile=check_n,
-                replicates=None,
-                work=rs.n_nodes,
-                seconds=elapsed,
-                jobs=n_jobs,
-            )
-        )
+
+
+#: The bench, one row per section, in run order.
+TABLE = {s.name: s for s in (
+    Section(
+        "backends",
+        "simulator backend throughput (uniform random scheduler)",
+        partial(measure_runs, backends=("counts", "fast", "reference")),
+        full=_grid(
+            ("naming", "churn"),
+            ((10, 200_000), (100, 50_000), (1_000, 50_000),
+             (100_000, 1_000_000)),
+        ),
+        smoke=_grid(("naming", "churn"), ((12, 4_000), (25, 2_000))),
+        pairs=("fast/reference", "counts/fast"),
+        metrics=("counts", "fast", "counts/fast", "fast/reference"),
+    ),
+    Section(
+        "ensemble",
+        "ensemble throughput (naming workload, n_jobs=1)",
+        partial(
+            measure_ensembles,
+            runs=(("counts", "counts", 1), ("batch", "batch", 1)),
+            repeats=3,
+        ),
+        full=_grid(
+            ("naming",), ((1_000, 20_000), (100_000, 20_000)), (64, 256)
+        ),
+        smoke=_grid(("naming",), ((12, 1_000),), (4, 8)),
+        pairs=("batch/counts",),
+        metrics=("batch", "batch/counts"),
+    ),
+    Section(
+        "leap",
+        "leap throughput (naming workload, counts vs leap)",
+        partial(measure_runs, backends=("counts", "leap")),
+        full=(Cell("naming", 1_000_000, budget=10_000_000),),
+        smoke=(Cell("naming", 50_000, budget=200_000),),
+        pairs=("leap/counts",),
+        metrics=("leap", "leap/counts"),
+    ),
+    Section(
+        "bleap",
+        "bleap throughput (naming ensembles, counts vs bleap)",
+        partial(
+            measure_ensembles,
+            runs=(("counts", "counts", 1), ("bleap", "bleap", 1)),
+            repeats=2,
+        ),
+        full=(Cell("naming", 100_000, 256, 200_000),),
+        smoke=(Cell("naming", 20_000, 8, 4_000),),
+        pairs=("bleap/counts",),
+        metrics=("bleap", "bleap/counts"),
+    ),
+    Section(
+        "fluid",
+        "fluid fast-forward (naming workload, leap vs fluid, end to end)",
+        measure_fluid,
+        full=(Cell("naming", 100_000_000, budget=1_000_000_000),),
+        smoke=(Cell("naming", 20_000, budget=100_000),),
+        pairs=("fluid/leap",),
+        metrics=("fluid/leap",),
+        by_time=True,
+    ),
+    Section(
+        "parallel",
+        "parallel execution (shared-memory sharding vs serial)",
+        measure_parallel,
+        full=(
+            Cell("lockstep", 100_000, 1_024, 200_000),
+            Cell("frontier", 12, bound=10),
+        ),
+        smoke=(
+            Cell("lockstep", 50_000, 64, 50_000),
+            Cell("frontier", 9, bound=6),
+        ),
+        pairs=("sharded/serial",),
+        metrics=("sharded/serial",),
+        min_cores=PARALLEL_MIN_CORES,
+    ),
+    Section(
+        "serve",
+        "serving layer (naming-job burst: cold calls vs warm pool vs memo)",
+        measure_serve,
+        full=(Cell("burst", 100, 16 * SERVE_SEEDS_PER_JOB, 2_500),),
+        smoke=(Cell("burst", 100, 3 * SERVE_SEEDS_PER_JOB, 2_000),),
+        pairs=("warm/cold", "memo/cold"),
+        metrics=("warm/cold", "memo/cold"),
+        by_time=True,
+    ),
+)}
+
+#: The section names, in run order.
+SECTIONS = tuple(TABLE)
+
+
+def run_section(
+    section: Section,
+    smoke: bool = False,
+    scale: float = 1.0,
+    seed: int = DEFAULT_SEED,
+) -> list[Measurement]:
+    """Measure every cell of ``section``; ``scale`` multiplies budgets."""
+    points: list[Measurement] = []
+    for cell in section.smoke if smoke else section.full:
+        if cell.budget:
+            cell = replace(cell, budget=max(1, int(cell.budget * scale)))
+        points.extend(section.measure(cell, seed))
     return points
 
 
-def parallel_speedups(
-    points: list[ParallelBenchPoint],
-) -> dict[str, float]:
-    """Per-kind sharded/serial rate ratios (machine-independent)."""
-    out: dict[str, float] = {}
-    for kind in ("lockstep", "frontier"):
-        rates = {p.mode: p.rate for p in points if p.kind == kind}
-        serial = rates.get("serial")
-        sharded = rates.get("sharded")
-        if serial and sharded:
-            out[kind] = sharded / serial
+def _cells(points: list[Measurement]) -> dict[tuple, dict[str, Measurement]]:
+    """``{(workload, N, R): {backend: measurement}}``."""
+    out: dict[tuple, dict[str, Measurement]] = {}
+    for p in points:
+        out.setdefault((p.workload, p.n_mobile, p.replicates), {})[
+            p.backend
+        ] = p
     return out
 
 
-def render_parallel_points(points: list[ParallelBenchPoint]) -> str:
-    """Render the parallel measurements as an aligned text table."""
-    ratios = parallel_speedups(points)
-    rows = []
-    for p in points:
-        if p.kind == "lockstep":
-            unit = "interactions"
-            detail = (
-                f"{p.shards} shards, {p.shm_bytes:,} B shm, "
-                f"{p.copy_bytes_saved:,} B copies saved"
-                if p.shards is not None
-                else ("R replicate rows pickled" if p.mode == "sharded"
-                      else "one lockstep batch")
-            )
-        else:
-            unit = "nodes"
-            detail = (
-                "sharded frontier expansion"
-                if p.mode == "sharded"
-                else "serial frontier"
-            )
-        ratio = ratios.get(p.kind)
-        shown = (
-            f"{ratio:.2f}x vs serial"
-            if p.mode == "sharded" and ratio
-            else ""
-        )
-        rows.append(
-            (
-                p.kind,
-                p.mode,
-                p.jobs,
-                p.n_mobile,
-                p.replicates if p.replicates is not None else "",
-                f"{p.work:,} {unit}",
-                f"{p.seconds * 1000:.0f} ms",
-                f"{p.rate:,.0f}/s",
-                detail,
-                shown,
-            )
-        )
-    return render_table(
-        ("cell", "mode", "jobs", "N", "R", "work", "time", "rate",
-         "transport", "speedup"),
-        rows,
-        title="parallel execution (shared-memory sharding vs serial)",
-    )
+def _ratio(section: Section, pair: str, by_backend: dict) -> float | None:
+    """``candidate/baseline`` at one cell, or ``None`` unless both sides
+    did work (zero-time sentinel as for :func:`_safe_rate`)."""
+    candidate, baseline = (by_backend.get(b) for b in pair.split("/"))
+    if not (candidate and baseline and candidate.work and baseline.work):
+        return None
+    if section.by_time:
+        return _safe_rate(baseline.seconds, candidate.seconds)
+    return _safe_rate(candidate.rate, baseline.rate)
 
 
 def speedups(
-    points: list[BenchPoint],
-) -> dict[str, dict[str, dict[str, float]]]:
-    """Pairwise rate ratios, ``{workload: {str(N): {pair: ratio}}}``.
-
-    Reported pairs are ``"fast/reference"`` and ``"counts/fast"``, each
-    present only when both of its backends ran at that size.
-    """
-    rates: dict[tuple[str, int], dict[str, float]] = {}
-    for p in points:
-        rates.setdefault((p.workload, p.n_mobile), {})[p.backend] = p.rate
-    out: dict[str, dict[str, dict[str, float]]] = {}
-    for (workload, n), per_backend in rates.items():
-        ref = per_backend.get("reference")
-        fast = per_backend.get("fast")
-        counts = per_backend.get("counts")
-        cell: dict[str, float] = {}
-        if ref and fast:
-            cell["fast/reference"] = fast / ref
-        if fast and counts:
-            cell["counts/fast"] = counts / fast
-        if cell:
-            out.setdefault(workload, {})[str(n)] = cell
+    section: Section, points: list[Measurement]
+) -> dict[str, dict[str, float]]:
+    """``{pair: {"workload N=n R=r": ratio}}`` over every complete cell."""
+    out: dict[str, dict[str, float]] = {}
+    for (workload, n, r), by_backend in _cells(points).items():
+        for pair in section.pairs:
+            ratio = _ratio(section, pair, by_backend)
+            if ratio is not None:
+                out.setdefault(pair, {})[f"{workload} N={n} R={r}"] = ratio
     return out
 
 
-def floor_rate(points: list[BenchPoint]) -> float | None:
-    """The counts backend's naming rate at the largest measured size.
+def metric(
+    section: Section, points: list[Measurement], name: str
+) -> float | None:
+    """The gateable number ``name`` at the section's headline cell.
 
-    This is the number the ``--floor`` perf gate guards: the headline
-    claim of the counts backend is large-N naming throughput, so that is
-    the cell that must not regress.  Returns ``None`` when no such cell
-    was measured.
+    The headline cell is the largest N, then the widest R, among the
+    cells of the section's first workload that measured every backend
+    ``name`` mentions.  A backend name reads its rate there, a pair its
+    ratio.  ``None`` when no such cell was measured.
     """
+    headline = section.full[0].workload
+    backends = name.split("/")
     cells = [
-        p
-        for p in points
-        if p.workload == "naming" and p.backend == "counts"
+        (key, by_backend)
+        for key, by_backend in _cells(points).items()
+        if key[0] == headline and all(b in by_backend for b in backends)
     ]
     if not cells:
         return None
-    return max(cells, key=lambda p: p.n_mobile).rate
+    _, by_backend = max(cells, key=lambda item: item[0][1:])
+    if len(backends) == 1:
+        return by_backend[name].rate
+    return _ratio(section, name, by_backend)
+
+
+def _shown(value: object) -> str:
+    if isinstance(value, float):
+        return f"{value:,.1f}"
+    return f"{value:,}" if isinstance(value, int) else str(value)
+
+
+def render(section: Section, points: list[Measurement]) -> str:
+    """Render one section's measurements as an aligned text table."""
+    ratios = speedups(section, points)
+    rows = []
+    for p in points:
+        label = f"{p.workload} N={p.n_mobile} R={p.replicates}"
+        shown = "; ".join(
+            f"{ratios[pair][label]:.2f}x vs {pair.split('/')[1]}"
+            for pair in section.pairs
+            if pair.startswith(p.backend + "/")
+            and label in ratios.get(pair, {})
+        )
+        detail = ", ".join(
+            f"{k} {_shown(v)}" for k, v in p.detail.items()
+            if k != "non_null_interactions"
+        )
+        rows.append((
+            p.workload, p.n_mobile, p.replicates, p.backend,
+            f"{p.work:,} {p.unit}", f"{p.seconds * 1000:.0f} ms",
+            f"{p.rate:,.0f}/s", detail, shown,
+        ))
+    return render_table(
+        ("workload", "N", "R", "backend", "work", "time", "rate",
+         "detail", "speedup"),
+        rows,
+        title=section.title,
+    )
 
 
 def environment() -> dict[str, object]:
-    """Provenance of a bench run: the report metadata that makes perf
-    regressions attributable (did the code change, or the machine?).
+    """Provenance of a bench run: did the code change, or the machine?
 
-    ``git_revision`` is ``None`` outside a git checkout (e.g. an
-    installed package); ``numpy`` is ``None`` when NumPy is absent.
+    ``git_revision`` is ``None`` outside a git checkout.
     """
     try:
         revision: str | None = subprocess.run(
@@ -1193,597 +746,171 @@ def environment() -> dict[str, object]:
     except (OSError, subprocess.SubprocessError):
         revision = None
     return {
-        "numpy": _np.__version__ if _np is not None else None,
+        "numpy": numpy.__version__,
         "cpu_count": os.cpu_count(),
         "git_revision": revision,
     }
 
 
 def write_json(
-    points: list[BenchPoint],
     path: str,
+    results: dict[str, list[Measurement]],
+    section_seconds: dict[str, float],
     seed: int = DEFAULT_SEED,
     scale: float = 1.0,
-    ensemble: list[EnsembleBenchPoint] | None = None,
-    leap: list[LeapBenchPoint] | None = None,
-    bleap: list[BleapBenchPoint] | None = None,
-    fluid: list[FluidBenchPoint] | None = None,
-    parallel: list[ParallelBenchPoint] | None = None,
-    section_seconds: dict[str, float] | None = None,
+    smoke: bool = False,
 ) -> None:
-    """Write the measurements and speedups as a JSON report.
-
-    Sections deselected by ``--sections`` arrive as ``None`` (or an
-    empty ``points`` list) and are simply omitted from the payload, so
-    a partial re-run still writes a valid report.  ``section_seconds``
-    is the wall-clock cost of each section that ran (measurement plus
-    harness overhead, which the per-point ``seconds`` fields exclude);
-    its sum is reported as ``total_seconds``.
-    """
-    payload = {
+    """Write every section that ran, with provenance, as a JSON report."""
+    payload: dict[str, object] = {
         "benchmark": "simulator",
         "scheduler": "uniform random pairs",
         "seed": seed,
         "scale": scale,
+        "smoke": smoke,
         "environment": environment(),
-        "points": [
-            {
-                "workload": p.workload,
-                "backend": p.backend,
-                "n_mobile": p.n_mobile,
-                "interactions": p.interactions,
-                "non_null_interactions": p.non_null_interactions,
-                "seconds": round(p.seconds, 6),
-                "interactions_per_sec": round(p.rate, 1),
-            }
-            for p in points
-        ],
-        "speedup": speedups(points),
+        "section_seconds": {
+            name: round(value, 6) for name, value in section_seconds.items()
+        },
+        "total_seconds": round(sum(section_seconds.values()), 6),
     }
-    if ensemble:
-        payload["ensemble"] = {
-            "workload": "naming",
-            "budget_per_replicate": max(1_000, int(ENSEMBLE_BUDGET * scale)),
+    for name, points in results.items():
+        section = TABLE[name]
+        payload[name] = {
+            "title": section.title,
             "points": [
                 {
-                    "engine": p.engine,
-                    "n_mobile": p.n_mobile,
-                    "replicates": p.replicates,
-                    "interactions": p.interactions,
-                    "non_null_interactions": p.non_null_interactions,
-                    "seconds": round(p.seconds, 6),
-                    "interactions_per_sec": round(p.rate, 1),
-                    "runs_per_sec": round(p.runs_per_second, 2),
-                }
-                for p in ensemble
-            ],
-            "speedup": ensemble_speedups(ensemble),
-        }
-    if leap:
-        payload["leap"] = {
-            "workload": "naming",
-            "points": [
-                {
+                    "workload": p.workload,
                     "backend": p.backend,
                     "n_mobile": p.n_mobile,
-                    "interactions": p.interactions,
-                    "non_null_interactions": p.non_null_interactions,
-                    "seconds": round(p.seconds, 6),
-                    "interactions_per_sec": round(p.rate, 1),
-                    "leaps": p.leaps,
-                    "mean_tau": (
-                        round(p.mean_tau, 1)
-                        if p.mean_tau is not None
-                        else None
-                    ),
-                    "repairs": p.repairs,
-                }
-                for p in leap
-            ],
-            "speedup": leap_speedup(leap),
-        }
-    if bleap:
-        payload["bleap"] = {
-            "workload": "naming",
-            "budget_per_replicate": max(1_000, int(BLEAP_BUDGET * scale)),
-            "points": [
-                {
-                    "engine": p.engine,
-                    "n_mobile": p.n_mobile,
                     "replicates": p.replicates,
-                    "interactions": p.interactions,
-                    "non_null_interactions": p.non_null_interactions,
-                    "seconds": round(p.seconds, 6),
-                    "interactions_per_sec": round(p.rate, 1),
-                    "runs_per_sec": round(p.runs_per_second, 2),
-                    "leaps": p.leaps,
-                    "mean_tau": (
-                        round(p.mean_tau, 1)
-                        if p.mean_tau is not None
-                        else None
-                    ),
-                    "repairs": p.repairs,
-                    "ssa_fallback_rows": p.ssa_fallback_rows,
-                }
-                for p in bleap
-            ],
-            "speedup": bleap_speedup(bleap),
-        }
-    if fluid:
-        payload["fluid"] = {
-            "workload": "naming",
-            "points": [
-                {
-                    "backend": p.backend,
-                    "n_mobile": p.n_mobile,
-                    "interactions": p.interactions,
-                    "seconds": round(p.seconds, 6),
-                    "interactions_per_sec": round(p.rate, 1),
-                    "ode_steps": p.ode_steps,
-                    "handoff_time": p.handoff_time,
-                    "handoff_backend": p.handoff_backend,
-                }
-                for p in fluid
-            ],
-            "speedup": fluid_speedup(fluid),
-        }
-    if parallel:
-        payload["parallel"] = {
-            "workload": "naming",
-            "points": [
-                {
-                    "kind": p.kind,
-                    "mode": p.mode,
-                    "jobs": p.jobs,
-                    "n_mobile": p.n_mobile,
-                    "replicates": p.replicates,
+                    "budget": p.budget,
                     "work": p.work,
+                    "unit": p.unit,
                     "seconds": round(p.seconds, 6),
                     "rate": round(p.rate, 1),
-                    "shards": p.shards,
-                    "shm_bytes": p.shm_bytes,
-                    "copy_bytes_saved": p.copy_bytes_saved,
+                    "runs_per_sec": round(p.runs_per_second, 2),
+                    **p.detail,
                 }
-                for p in parallel
+                for p in points
             ],
-            "speedup": parallel_speedups(parallel),
+            "speedup": speedups(section, points),
+            "metrics": {m: metric(section, points, m) for m in section.metrics},
         }
-    if section_seconds:
-        payload["section_seconds"] = {
-            name: round(value, 6)
-            for name, value in section_seconds.items()
-        }
-        payload["total_seconds"] = round(
-            sum(section_seconds.values()), 6
-        )
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 
 
-def render_points(points: list[BenchPoint]) -> str:
-    """Render the bench measurements as an aligned text table."""
-    ratio = speedups(points)
-    rows = []
-    for p in points:
-        cell = ratio.get(p.workload, {}).get(str(p.n_mobile), {})
-        if p.backend == "fast":
-            pair = cell.get("fast/reference")
-            shown = f"{pair:.1f}x vs reference" if pair else ""
-        elif p.backend == "counts":
-            pair = cell.get("counts/fast")
-            shown = f"{pair:.1f}x vs fast" if pair else ""
-        else:
-            shown = ""
-        rows.append(
-            (
-                p.workload,
-                p.n_mobile,
-                p.backend,
-                p.interactions,
-                f"{p.seconds * 1000:.0f} ms",
-                f"{p.rate:,.0f}/s",
-                shown,
-            )
+@dataclass(frozen=True)
+class Gate:
+    """``section.metric >= threshold``, as given to ``--gate``."""
+
+    section: str
+    metric: str
+    threshold: float
+
+
+def parse_gate(text: str) -> Gate:
+    """Parse ``section.metric>=x``; argparse turns errors into usage."""
+    match = re.fullmatch(r"\s*(\w+)\.([\w/]+)\s*>=\s*(\S+)\s*", text)
+    try:
+        return Gate(match[1], match[2], float(match[3]))  # type: ignore
+    except (TypeError, ValueError):
+        raise argparse.ArgumentTypeError(
+            f"malformed gate {text!r} (expected SECTION.METRIC>=NUMBER)"
+        ) from None
+
+
+def check_gate(gate: Gate, points: list[Measurement]) -> bool:
+    """Print one gate's verdict; ``False`` means the run fails."""
+    section = TABLE[gate.section]
+    value = metric(section, points, gate.metric)
+    label = f"gate {gate.section}.{gate.metric} >= {gate.threshold:,.2f}"
+    if value is None:
+        print(f"{label}: no cell measured -> FAIL")
+        return False
+    cores = os.cpu_count() or 1
+    if cores < section.min_cores:
+        print(
+            f"{label}: {value:,.2f} on {cores} core(s) -> skipped "
+            f"(gates only on >= {section.min_cores} cores)"
         )
-    return render_table(
-        ("workload", "N", "backend", "interactions", "time", "rate",
-         "speedup"),
-        rows,
-        title="simulator backend throughput (uniform random scheduler)",
-    )
+        return True
+    verdict = "ok" if value >= gate.threshold else "FAIL"
+    print(f"{label}: {value:,.2f} -> {verdict}")
+    return value >= gate.threshold
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run the simulator micro-benchmark from the command line."""
+    """Run the bench from the command line."""
     parser = argparse.ArgumentParser(
-        description="Simulation-backend micro-benchmark."
+        description="Simulation-tier benchmark: one cell table, one gate."
     )
-    parser.add_argument(
-        "--sizes", type=int, nargs="+", default=list(DEFAULT_SIZES)
-    )
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument(
-        "--scale",
-        type=float,
-        default=1.0,
-        help="multiply every interaction budget by this factor",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny budgets for CI smoke runs (equivalent to --scale 0.02)",
-    )
-    parser.add_argument("--out", default=DEFAULT_OUT, metavar="PATH")
     parser.add_argument(
         "--sections",
         default=",".join(SECTIONS),
         metavar="NAMES",
+        help=f"comma-separated subset of {', '.join(SECTIONS)} (default: all)",
+    )
+    parser.add_argument(
+        "--gate",
+        action="append",
+        default=[],
+        type=parse_gate,
+        metavar="SECTION.METRIC>=X",
         help=(
-            "comma-separated subset of bench sections to run "
-            f"(choices: {', '.join(SECTIONS)}; default: all).  A floor "
-            "flag whose section is deselected is a usage error"
+            "fail (exit 1) unless the metric reaches X; repeatable.  "
+            "Metrics: "
+            + "; ".join(f"{s.name}: {', '.join(s.metrics)}" for s in
+                        TABLE.values())
         ),
     )
     parser.add_argument(
-        "--floor",
-        type=float,
-        default=None,
-        metavar="RATE",
-        help=(
-            "fail (exit 1) unless the counts backend's naming rate at "
-            "the largest size reaches RATE interactions/second"
-        ),
+        "--smoke", action="store_true",
+        help="run each section's smoke cells instead of its full cells",
     )
     parser.add_argument(
-        "--ensemble-sizes",
-        type=int,
-        nargs="+",
-        default=list(ENSEMBLE_SIZES),
-        metavar="N",
-        help="population sizes of the ensemble-throughput section",
+        "--scale", type=float, default=1.0,
+        help="multiply every cell's interaction budget by this factor",
     )
-    parser.add_argument(
-        "--ensemble-reps",
-        type=int,
-        nargs="+",
-        default=list(ENSEMBLE_REPLICATES),
-        metavar="R",
-        help="replicate counts of the ensemble-throughput section",
-    )
-    parser.add_argument(
-        "--ensemble-floor",
-        type=float,
-        default=None,
-        metavar="RATE",
-        help=(
-            "fail (exit 1) unless the batch engine's pooled rate at the "
-            "widest, largest ensemble cell reaches RATE interactions/s"
-        ),
-    )
-    parser.add_argument(
-        "--ensemble-ratio-floor",
-        type=float,
-        default=None,
-        metavar="RATIO",
-        help=(
-            "fail (exit 1) unless every batch/counts rate ratio at the "
-            "largest ensemble population reaches RATIO (machine-"
-            "independent: 1.0 asserts lockstep batching never loses to "
-            "chunked per-run counts dispatch)"
-        ),
-    )
-    parser.add_argument(
-        "--leap-n",
-        type=int,
-        default=LEAP_N,
-        metavar="N",
-        help="population size of the leap-throughput section",
-    )
-    parser.add_argument(
-        "--leap-eps",
-        type=float,
-        default=None,
-        metavar="EPS",
-        help=(
-            "per-window relative-change bound of the leap backend "
-            "(default 0.03; smaller = more accurate, slower)"
-        ),
-    )
-    parser.add_argument(
-        "--leap-floor",
-        type=float,
-        default=None,
-        metavar="RATIO",
-        help=(
-            "fail (exit 1) unless the leap backend's rate at --leap-n "
-            "reaches RATIO times the exact counts rate (a ratio gate: "
-            "the leap claim is its speedup, not an absolute rate)"
-        ),
-    )
-    parser.add_argument(
-        "--bleap-n",
-        type=int,
-        default=BLEAP_N,
-        metavar="N",
-        help="population size of the bleap section",
-    )
-    parser.add_argument(
-        "--bleap-reps",
-        type=int,
-        default=BLEAP_REPLICATES,
-        metavar="R",
-        help="replicate count of the bleap section",
-    )
-    parser.add_argument(
-        "--bleap-floor",
-        type=float,
-        default=None,
-        metavar="RATIO",
-        help=(
-            "fail (exit 1) unless the bleap engine's pooled rate at "
-            "--bleap-n/--bleap-reps reaches RATIO times the chunked "
-            "counts rate (a machine-independent ratio gate, like "
-            "--leap-floor)"
-        ),
-    )
-    parser.add_argument(
-        "--fluid-n",
-        type=int,
-        default=FLUID_N,
-        metavar="N",
-        help="population size of the fluid section",
-    )
-    parser.add_argument(
-        "--fluid-floor",
-        type=float,
-        default=None,
-        metavar="RATIO",
-        help=(
-            "fail (exit 1) unless the fluid tier finishes the full "
-            "naming horizon at --fluid-n RATIO times faster (wall-"
-            "clock, end to end) than the leap backend"
-        ),
-    )
-    parser.add_argument(
-        "--parallel-n",
-        type=int,
-        default=PARALLEL_N,
-        metavar="N",
-        help="population size of the parallel lockstep cells",
-    )
-    parser.add_argument(
-        "--parallel-reps",
-        type=int,
-        default=PARALLEL_REPLICATES,
-        metavar="R",
-        help="replicate count of the parallel lockstep cells",
-    )
-    parser.add_argument(
-        "--parallel-jobs",
-        type=int,
-        default=None,
-        metavar="J",
-        help=(
-            "worker count of the sharded cells (default: the core "
-            "count, clamped to [2, 8])"
-        ),
-    )
-    parser.add_argument(
-        "--parallel-floor",
-        type=float,
-        default=None,
-        metavar="RATIO",
-        help=(
-            "fail (exit 1) unless the sharded lockstep rate reaches "
-            "RATIO times the serial rate (machine-independent; "
-            f"reported but skipped on hosts with fewer than "
-            f"{PARALLEL_MIN_CORES} cores, where the ratio measures "
-            "oversubscription, not the transport)"
-        ),
-    )
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    parser.add_argument("--out", default=DEFAULT_OUT, metavar="PATH")
     args = parser.parse_args(argv)
-    sections = tuple(
-        name.strip() for name in args.sections.split(",") if name.strip()
-    )
-    unknown = sorted(set(sections) - set(SECTIONS))
+    names = {n.strip() for n in args.sections.split(",") if n.strip()}
+    unknown = sorted(names - set(SECTIONS))
     if unknown:
         parser.error(
             f"unknown section(s) {', '.join(unknown)} "
             f"(choices: {', '.join(SECTIONS)})"
         )
-    gated = {
-        "backends": args.floor is not None,
-        "ensemble": (
-            args.ensemble_floor is not None
-            or args.ensemble_ratio_floor is not None
-        ),
-        "leap": args.leap_floor is not None,
-        "bleap": args.bleap_floor is not None,
-        "fluid": args.fluid_floor is not None,
-        "parallel": args.parallel_floor is not None,
-    }
-    for name, has_floor in gated.items():
-        if has_floor and name not in sections:
+    for gate in args.gate:
+        if gate.section not in TABLE:
+            parser.error(f"--gate names unknown section {gate.section!r}")
+        if gate.metric not in TABLE[gate.section].metrics:
             parser.error(
-                f"a floor flag gates the {name!r} section, but "
+                f"--gate names unknown metric {gate.metric!r} of section "
+                f"{gate.section!r} (choices: "
+                f"{', '.join(TABLE[gate.section].metrics)})"
+            )
+        if gate.section not in names:
+            parser.error(
+                f"--gate reads the {gate.section!r} section, but "
                 f"--sections deselected it"
             )
-    scale = 0.02 if args.smoke else args.scale
-    points: list[BenchPoint] = []
-    ensemble: list[EnsembleBenchPoint] | None = None
-    leap: list[LeapBenchPoint] | None = None
-    bleap: list[BleapBenchPoint] | None = None
-    fluid: list[FluidBenchPoint] | None = None
-    parallel: list[ParallelBenchPoint] | None = None
+    results: dict[str, list[Measurement]] = {}
     section_seconds: dict[str, float] = {}
-    printed = False
-    if "backends" in sections:
-        started = time.perf_counter()
-        points = run_bench(tuple(args.sizes), seed=args.seed, scale=scale)
-        section_seconds["backends"] = time.perf_counter() - started
-        print(render_points(points))
-        printed = True
-    if "ensemble" in sections:
-        if printed:
-            print()
-        started = time.perf_counter()
-        ensemble = run_ensemble_bench(
-            tuple(args.ensemble_sizes),
-            tuple(args.ensemble_reps),
-            seed=args.seed,
-            scale=scale,
-        )
-        section_seconds["ensemble"] = time.perf_counter() - started
-        print(render_ensemble_points(ensemble))
-        printed = True
-    if "leap" in sections:
-        if printed:
-            print()
-        started = time.perf_counter()
-        leap = run_leap_bench(
-            n=args.leap_n,
-            seed=args.seed,
-            scale=scale,
-            leap_eps=args.leap_eps,
-        )
-        section_seconds["leap"] = time.perf_counter() - started
-        print(render_leap_points(leap))
-        printed = True
-    if "bleap" in sections:
-        if printed:
-            print()
-        started = time.perf_counter()
-        bleap = run_bleap_bench(
-            n=args.bleap_n,
-            replicates=args.bleap_reps,
-            seed=args.seed,
-            scale=scale,
-        )
-        section_seconds["bleap"] = time.perf_counter() - started
-        print(render_bleap_points(bleap))
-        printed = True
-    if "fluid" in sections:
-        if printed:
-            print()
-        started = time.perf_counter()
-        fluid = run_fluid_bench(
-            n=args.fluid_n,
-            seed=args.seed,
-            scale=scale,
-        )
-        section_seconds["fluid"] = time.perf_counter() - started
-        print(render_fluid_points(fluid))
-        printed = True
-    if "parallel" in sections:
-        if printed:
-            print()
-        started = time.perf_counter()
-        parallel = run_parallel_bench(
-            n=args.parallel_n,
-            replicates=args.parallel_reps,
-            seed=args.seed,
-            scale=scale,
-            jobs=args.parallel_jobs,
-        )
-        section_seconds["parallel"] = time.perf_counter() - started
-        print(render_parallel_points(parallel))
-        printed = True
-    write_json(points, args.out, seed=args.seed, scale=scale,
-               ensemble=ensemble, leap=leap, bleap=bleap, fluid=fluid,
-               parallel=parallel, section_seconds=section_seconds)
-    print(f"\nJSON written to {args.out}")
-    failed = False
-    if args.floor is not None:
-        rate = floor_rate(points)
-        if rate is None:
-            print("floor check: no counts naming cell was measured")
-            return 1
-        verdict = "ok" if rate >= args.floor else "FAIL"
-        print(
-            f"floor check: counts naming rate {rate:,.0f}/s vs floor "
-            f"{args.floor:,.0f}/s -> {verdict}"
-        )
-        failed = failed or rate < args.floor
-    if args.ensemble_floor is not None:
-        rate = ensemble_floor_rate(ensemble or [])
-        if rate is None:
-            print("ensemble floor check: no batch cell was measured")
-            return 1
-        verdict = "ok" if rate >= args.ensemble_floor else "FAIL"
-        print(
-            f"ensemble floor check: batch rate {rate:,.0f}/s vs floor "
-            f"{args.ensemble_floor:,.0f}/s -> {verdict}"
-        )
-        failed = failed or rate < args.ensemble_floor
-    if args.ensemble_ratio_floor is not None:
-        ratio = ensemble_ratio_floor(ensemble or [])
-        if ratio is None:
-            print("ensemble ratio check: no complete cell was measured")
-            return 1
-        verdict = "ok" if ratio >= args.ensemble_ratio_floor else "FAIL"
-        print(
-            f"ensemble ratio check: batch/counts ratio at the widest "
-            f"largest-N cell is {ratio:.2f}x vs floor "
-            f"{args.ensemble_ratio_floor:.2f}x -> {verdict}"
-        )
-        failed = failed or ratio < args.ensemble_ratio_floor
-    if args.leap_floor is not None:
-        ratio = leap_speedup(leap or [])
-        if ratio is None:
-            print("leap floor check: a leap-section cell is missing")
-            return 1
-        verdict = "ok" if ratio >= args.leap_floor else "FAIL"
-        print(
-            f"leap floor check: leap/counts speedup {ratio:.1f}x vs "
-            f"floor {args.leap_floor:.1f}x -> {verdict}"
-        )
-        failed = failed or ratio < args.leap_floor
-    if args.bleap_floor is not None:
-        ratio = bleap_speedup(bleap or [])
-        if ratio is None:
-            print("bleap floor check: a bleap-section cell is missing")
-            return 1
-        verdict = "ok" if ratio >= args.bleap_floor else "FAIL"
-        print(
-            f"bleap floor check: bleap/counts speedup {ratio:.1f}x vs "
-            f"floor {args.bleap_floor:.1f}x -> {verdict}"
-        )
-        failed = failed or ratio < args.bleap_floor
-    if args.fluid_floor is not None:
-        ratio = fluid_speedup(fluid or [])
-        if ratio is None:
-            print("fluid floor check: a fluid-section cell is missing")
-            return 1
-        verdict = "ok" if ratio >= args.fluid_floor else "FAIL"
-        print(
-            f"fluid floor check: fluid/leap wall-clock speedup "
-            f"{ratio:.1f}x vs floor {args.fluid_floor:.1f}x -> {verdict}"
-        )
-        failed = failed or ratio < args.fluid_floor
-    if args.parallel_floor is not None:
-        ratio = parallel_speedups(parallel or []).get("lockstep")
-        if ratio is None:
-            print("parallel floor check: a lockstep cell is missing")
-            return 1
-        cores = os.cpu_count() or 1
-        if cores < PARALLEL_MIN_CORES:
-            # Below the core floor the ratio measures oversubscription,
-            # not the shared-memory transport - report, don't gate.
-            print(
-                f"parallel floor check: sharded/serial speedup "
-                f"{ratio:.2f}x on {cores} core(s) -> skipped (floor "
-                f"gates only on >= {PARALLEL_MIN_CORES} cores)"
+    for section in TABLE.values():
+        if section.name in names:
+            results[section.name], section_seconds[section.name] = _timed(
+                partial(run_section, section, args.smoke, args.scale,
+                        args.seed)
             )
-        else:
-            verdict = "ok" if ratio >= args.parallel_floor else "FAIL"
-            print(
-                f"parallel floor check: sharded/serial lockstep "
-                f"speedup {ratio:.2f}x vs floor "
-                f"{args.parallel_floor:.2f}x -> {verdict}"
-            )
-            failed = failed or ratio < args.parallel_floor
-    return 1 if failed else 0
+            print(render(section, results[section.name]), end="\n\n")
+    write_json(args.out, results, section_seconds, seed=args.seed,
+               scale=args.scale, smoke=args.smoke)
+    print(f"JSON written to {args.out}")
+    verdicts = [check_gate(g, results[g.section]) for g in args.gate]
+    return 0 if all(verdicts) else 1
 
 
 if __name__ == "__main__":

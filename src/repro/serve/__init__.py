@@ -21,10 +21,12 @@ serving workloads:
   instead of pickling whole objects, warms workers once, and applies
   bounded-queue backpressure; jobs are submitted as :class:`JobSpec` and
   tracked through :class:`JobHandle` (progress streaming +
-  ``result()``);
-* :mod:`repro.serve.bench` - the ``repro serve-bench`` stress benchmark
-  (many concurrent heterogeneous jobs, cold vs warm), recorded in
-  ``BENCH_simulator.json`` and CI-gated via ``--serve-floor``.
+  ``result()``).
+
+The layer's stress benchmark (a burst of small heterogeneous jobs, cold
+per-call setup vs the warm pool vs memo replay) is the ``serve`` section
+of ``repro bench`` (``repro bench --sections serve``), recorded in
+``BENCH_simulator.json`` and CI-gated via ``--gate 'serve.warm/cold>=3'``.
 """
 
 from repro.serve.cache import ArtifactCache, CacheStats

@@ -676,11 +676,11 @@ class ServePool:
                 warn_fallback("serve-shm", "pickle-transport serving", reason)
             return pickled
         from repro.engine.batch import N_SCALARS
-        from repro.engine.counts import _np, _plan_for
+        from repro.engine.counts import _plan_for
         from repro.engine.fast import compile_table
 
         table = compile_table(spec.protocol)
-        if table is None or _np is None:
+        if table is None:
             return pickled
         plan = _plan_for(spec.protocol, table)
         if plan is None or not plan.closed:
@@ -710,16 +710,14 @@ class ServePool:
         if not self.cache.contains(PROTOCOL_KIND, fingerprint):
             self.cache.put(PROTOCOL_KIND, fingerprint, protocol)
         if not self.cache.contains(COMPILED_KIND, fingerprint):
-            from repro.engine.counts import _np, _plan_for
+            from repro.engine.counts import _plan_for
             from repro.engine.fast import compile_table
             from repro.engine.leap import _leap_plan_for
 
             table = compile_table(protocol)
-            counts_plan = leap_plan = None
-            if table is not None and _np is not None:
+            if table is not None:
                 counts_plan = _plan_for(protocol, table)
                 leap_plan = _leap_plan_for(protocol, counts_plan)
-            if table is not None:
                 self.cache.put(
                     COMPILED_KIND,
                     fingerprint,

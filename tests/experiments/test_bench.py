@@ -1,42 +1,56 @@
-"""Tests for the simulation-backend micro-benchmark."""
+"""Tests for the simulation-tier benchmark's cell table and gate path."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+import repro.experiments.bench as bench
 from repro.engine.fast import compile_table
+from repro.errors import SimulationError
 from repro.experiments.bench import (
     PARALLEL_MIN_CORES,
     REFERENCE_MAX_N,
     SECTIONS,
-    BenchPoint,
+    TABLE,
+    Cell,
     ChurnProtocol,
-    EnsembleBenchPoint,
-    FluidBenchPoint,
-    LeapBenchPoint,
-    ParallelBenchPoint,
+    Gate,
+    Measurement,
     _safe_rate,
-    ensemble_floor_rate,
-    ensemble_speedups,
+    check_gate,
     environment,
-    floor_rate,
-    fluid_speedup,
-    leap_speedup,
     main,
-    parallel_speedups,
-    render_ensemble_points,
-    render_fluid_points,
-    render_leap_points,
-    render_parallel_points,
-    run_bench,
-    run_ensemble_bench,
-    run_fluid_bench,
-    run_leap_bench,
-    run_parallel_bench,
+    measure_runs,
+    metric,
+    parse_gate,
+    render,
+    run_section,
     speedups,
-    workloads,
     write_json,
 )
+
+
+def point(backend, n=10, r=1, work=100, seconds=1.0, workload="naming",
+          **detail):
+    return Measurement(workload, backend, n, r, 0, work, seconds,
+                       detail=detail)
+
+
+def payload_of(tmp_path, **results):
+    out = tmp_path / "bench.json"
+    write_json(str(out), results, {name: 1.0 for name in results}, seed=1)
+    return json.loads(out.read_text())
+
+
+def smoke(name):
+    return run_section(TABLE[name], smoke=True, seed=1)
+
+
+def run_main(tmp_path, *argv):
+    out = tmp_path / "bench.json"
+    code = main([*argv, "--out", str(out)])
+    return code, (json.loads(out.read_text()) if out.exists() else None)
 
 
 class TestChurnProtocol:
@@ -55,70 +69,78 @@ class TestChurnProtocol:
 
 
 class TestRunBench:
-    def test_smoke_run_produces_all_cells(self, tmp_path):
-        # N = 12 exceeds the naming bound (8), so the spread start never
-        # converges and every backend runs its whole budget.
-        points = run_bench(sizes=(12,), seed=1, scale=0.02)
-        assert len(points) == len(workloads()) * 3  # three backends
-        assert all(p.interactions > 0 and p.seconds >= 0 for p in points)
-        ratios = speedups(points)
-        assert set(ratios) == set(workloads())
-        for per_size in ratios.values():
-            cell = per_size["12"]
-            assert set(cell) == {"fast/reference", "counts/fast"}
-            assert all(v > 0 for v in cell.values())
+    def test_smoke_run_produces_all_cells(self):
+        # The smoke sizes exceed the naming bound (8), so the spread
+        # start never converges and every backend runs its whole budget.
+        points = smoke("backends")
+        assert len(points) == len(TABLE["backends"].smoke) * 3
+        assert all(p.work > 0 and p.seconds >= 0 for p in points)
+        ratios = speedups(TABLE["backends"], points)
+        assert set(ratios) == {"fast/reference", "counts/fast"}
+        for cells in ratios.values():
+            assert len(cells) == len(TABLE["backends"].smoke)
+            assert all(v > 0 for v in cells.values())
 
     def test_reference_backend_skipped_above_cap(self):
-        n = REFERENCE_MAX_N + 1
-        points = run_bench(sizes=(n,), seed=1, scale=0.002)
-        backends = {p.backend for p in points}
-        assert backends == {"fast", "counts"}
+        cell = Cell("naming", REFERENCE_MAX_N + 1, budget=2_000)
+        points = measure_runs(cell, 1, ("counts", "fast", "reference"))
+        assert {p.backend for p in points} == {"fast", "counts"}
         # Only the counts/fast pair is reportable without a reference.
-        ratios = speedups(points)
-        for per_size in ratios.values():
-            assert set(per_size[str(n)]) == {"counts/fast"}
+        assert set(speedups(TABLE["backends"], points)) == {"counts/fast"}
 
     def test_floor_rate_reads_largest_naming_cell(self):
-        points = run_bench(sizes=(6, 12), seed=1, scale=0.02)
-        rate = floor_rate(points)
+        points = smoke("backends")
+        largest = max(c.n for c in TABLE["backends"].smoke)
         expected = [
-            p
-            for p in points
-            if p.workload == "naming"
-            and p.backend == "counts"
-            and p.n_mobile == 12
+            p for p in points
+            if p.workload == "naming" and p.backend == "counts"
+            and p.n_mobile == largest
         ]
-        assert rate == expected[0].rate
-        assert floor_rate([]) is None
+        assert metric(TABLE["backends"], points, "counts") == expected[0].rate
+        assert metric(TABLE["backends"], [], "counts") is None
 
     def test_json_payload_round_trips(self, tmp_path):
-        points = run_bench(sizes=(6,), seed=1, scale=0.02)
-        out = tmp_path / "bench.json"
-        write_json(points, str(out), seed=1, scale=0.02)
-        payload = json.loads(out.read_text())
+        points = smoke("backends")
+        payload = payload_of(tmp_path, backends=points)
         assert payload["benchmark"] == "simulator"
-        assert len(payload["points"]) == len(points)
-        assert "speedup" in payload
+        section = payload["backends"]
+        assert len(section["points"]) == len(points)
+        assert set(section["speedup"]) == {"fast/reference", "counts/fast"}
+        assert section["metrics"]["counts"] > 0
 
     def test_json_payload_records_environment(self, tmp_path):
-        points = run_bench(sizes=(6,), seed=1, scale=0.02)
-        out = tmp_path / "bench.json"
-        write_json(points, str(out), seed=1, scale=0.02)
-        env = json.loads(out.read_text())["environment"]
+        env = payload_of(tmp_path, backends=[point("counts")])["environment"]
         # Perf regressions must be attributable: the report says which
         # NumPy, how many CPUs and which revision produced the numbers.
         assert set(env) == {"numpy", "cpu_count", "git_revision"}
+        assert env["numpy"]
         assert env["cpu_count"] is None or env["cpu_count"] >= 1
 
     def test_environment_fields_present(self):
         env = environment()
         assert set(env) == {"numpy", "cpu_count", "git_revision"}
 
+    def test_fast_reference_divergence_aborts_the_run(
+        self, tmp_path, monkeypatch
+    ):
+        # Swap the fast backend for counts (its own randomness): the
+        # run-time differential check must abort before any JSON exists.
+        real = bench.make_simulator
+        monkeypatch.setattr(
+            bench, "make_simulator",
+            lambda backend, *a, **k: real(
+                "counts" if backend == "fast" else backend, *a, **k
+            ),
+        )
+        with pytest.raises(SimulationError, match="divergence"):
+            run_main(tmp_path, "--smoke", "--sections", "backends")
+        assert not (tmp_path / "bench.json").exists()
+
 
 class TestSafeRate:
     """Regression tests for the ``seconds == 0`` sentinel: a run that
     finishes inside one timer tick must read as infinitely *fast*, not
-    infinitely slow (rate 0.0 would spuriously trip the floor gates)."""
+    infinitely slow (rate 0.0 would spuriously trip the gates)."""
 
     def test_zero_seconds_with_work_is_infinite(self):
         assert _safe_rate(100, 0.0) == float("inf")
@@ -130,229 +152,147 @@ class TestSafeRate:
         assert _safe_rate(100, 2.0) == 50.0
 
     def test_bench_point_rate_never_raises(self):
-        point = BenchPoint(
-            workload="naming",
-            backend="counts",
-            n_mobile=10,
-            interactions=1000,
-            non_null_interactions=10,
-            seconds=0.0,
-        )
-        assert point.rate == float("inf")
+        assert point("counts", work=1_000, seconds=0.0).rate == float("inf")
 
     def test_ensemble_point_runs_per_second_never_raises(self):
-        point = EnsembleBenchPoint(
-            engine="batch",
-            n_mobile=10,
-            replicates=8,
-            interactions=1000,
-            non_null_interactions=10,
-            seconds=0.0,
-        )
-        assert point.runs_per_second == float("inf")
-        assert point.rate == float("inf")
+        cell = point("batch", r=8, work=1_000, seconds=0.0)
+        assert cell.runs_per_second == float("inf")
+        assert cell.rate == float("inf")
 
-    def test_zero_time_cell_passes_floor_gate(self):
+    def test_zero_time_cell_passes_floor_gate(self, capsys):
         # The point of the sentinel: an instantaneous batch cell must
         # satisfy any floor, not fail every floor.
-        point = EnsembleBenchPoint(
-            engine="batch",
-            n_mobile=10,
-            replicates=8,
-            interactions=1000,
-            non_null_interactions=10,
-            seconds=0.0,
-        )
-        assert ensemble_floor_rate([point]) >= 1e12
+        cell = point("batch", r=8, work=1_000, seconds=0.0)
+        assert metric(TABLE["ensemble"], [cell], "batch") >= 1e12
+        assert check_gate(Gate("ensemble", "batch", 1e12), [cell])
 
 
 class TestEnsembleBench:
     def test_smoke_run_produces_both_engines_per_cell(self):
-        points = run_ensemble_bench(
-            sizes=(12,), replicates=(4, 8), seed=1, scale=0.02
-        )
+        points = smoke("ensemble")
         # counts and batch per (N, R) cell
-        assert len(points) == 2 * 2
-        assert {p.engine for p in points} == {"counts", "batch"}
-        assert all(p.interactions > 0 and p.seconds >= 0 for p in points)
+        assert len(points) == 2 * len(TABLE["ensemble"].smoke)
+        assert {p.backend for p in points} == {"counts", "batch"}
+        assert all(p.work > 0 and p.seconds >= 0 for p in points)
         assert all(p.runs_per_second > 0 for p in points)
-        ratios = ensemble_speedups(points)
-        assert set(ratios) == {"12"}
-        assert set(ratios["12"]) == {"R=4", "R=8"}
-        assert all(v > 0 for v in ratios["12"].values())
+        ratios = speedups(TABLE["ensemble"], points)["batch/counts"]
+        assert set(ratios) == {"naming N=12 R=4", "naming N=12 R=8"}
+        assert all(v > 0 for v in ratios.values())
 
     def test_ensemble_floor_rate_reads_widest_batch_cell(self):
-        def cell(engine, n, r, rate):
-            return EnsembleBenchPoint(
-                engine=engine,
-                n_mobile=n,
-                replicates=r,
-                interactions=int(rate),
-                non_null_interactions=0,
-                seconds=1.0,
-            )
-
         points = [
-            cell("counts", 10, 4, 100.0),
-            cell("batch", 10, 4, 300.0),
-            cell("counts", 10, 8, 100.0),
-            cell("batch", 10, 8, 700.0),
+            point("counts", r=4, work=100),
+            point("batch", r=4, work=300),
+            point("counts", r=8, work=100),
+            point("batch", r=8, work=700),
         ]
-        # Most replicates wins (ties would break by population size).
-        assert ensemble_floor_rate(points) == 700.0
-        assert ensemble_floor_rate([points[0]]) is None
-        assert ensemble_floor_rate([]) is None
+        section = TABLE["ensemble"]
+        # Most replicates wins at the (shared) largest population.
+        assert metric(section, points, "batch") == 700.0
+        assert metric(section, points, "batch/counts") == 7.0
+        assert metric(section, [points[0]], "batch") is None
+        assert metric(section, [], "batch") is None
 
     def test_render_marks_batch_speedup(self):
-        points = run_ensemble_bench(
-            sizes=(12,), replicates=(4,), seed=1, scale=0.02
-        )
-        table = render_ensemble_points(points)
+        table = render(TABLE["ensemble"], smoke("ensemble"))
         assert "ensemble throughput" in table
         assert "x vs counts" in table
 
     def test_json_payload_includes_ensemble_section(self, tmp_path):
-        points = run_bench(sizes=(6,), seed=1, scale=0.02)
-        ensemble = run_ensemble_bench(
-            sizes=(12,), replicates=(4,), seed=1, scale=0.02
-        )
-        out = tmp_path / "bench.json"
-        write_json(points, str(out), seed=1, scale=0.02, ensemble=ensemble)
-        payload = json.loads(out.read_text())
-        section = payload["ensemble"]
-        assert section["workload"] == "naming"
-        assert len(section["points"]) == len(ensemble)
-        assert "speedup" in section
+        points = smoke("ensemble")
+        section = payload_of(tmp_path, ensemble=points)["ensemble"]
+        assert len(section["points"]) == len(points)
+        assert {p["replicates"] for p in section["points"]} == {4, 8}
+        assert set(section["speedup"]) == {"batch/counts"}
+        assert set(section["metrics"]) == {"batch", "batch/counts"}
 
 
 class TestLeapBench:
     def test_smoke_run_produces_both_backends(self):
-        points = run_leap_bench(n=50_000, seed=1, scale=0.02)
+        points = smoke("leap")
         assert [p.backend for p in points] == ["counts", "leap"]
-        assert all(p.interactions > 0 and p.seconds >= 0 for p in points)
-        leap_point = points[1]
+        assert all(p.work > 0 and p.seconds >= 0 for p in points)
+        leap = points[1].detail
         # The leap cell reports its window statistics.
-        assert leap_point.leaps is not None and leap_point.leaps > 0
-        assert leap_point.mean_tau > 0
-        assert leap_point.repairs >= 0
+        assert leap["leaps"] > 0
+        assert leap["mean_tau"] > 0
+        assert leap["repairs"] >= 0
         # The counts baseline has no window statistics.
-        assert points[0].leaps is None
+        assert "leaps" not in points[0].detail
 
     def test_leap_speedup_requires_both_cells(self):
-        def cell(backend, rate):
-            return LeapBenchPoint(
-                backend=backend,
-                n_mobile=10,
-                interactions=int(rate),
-                non_null_interactions=0,
-                seconds=1.0,
-            )
-
-        assert leap_speedup([cell("counts", 100), cell("leap", 700)]) == 7.0
-        assert leap_speedup([cell("counts", 100)]) is None
-        assert leap_speedup([]) is None
+        section = TABLE["leap"]
+        pair = [point("counts", work=100), point("leap", work=700)]
+        assert metric(section, pair, "leap/counts") == 7.0
+        assert metric(section, pair[:1], "leap/counts") is None
+        assert metric(section, [], "leap/counts") is None
 
     def test_render_marks_leap_speedup(self):
-        points = run_leap_bench(n=50_000, seed=1, scale=0.02)
-        table = render_leap_points(points)
+        table = render(TABLE["leap"], smoke("leap"))
         assert "leap throughput" in table
-        assert "exact baseline" in table
+        assert "leaps" in table
         assert "x vs counts" in table
 
-    def test_leap_eps_forwarded(self):
-        points = run_leap_bench(n=50_000, seed=1, scale=0.02, leap_eps=0.2)
-        assert [p.backend for p in points] == ["counts", "leap"]
-
     def test_json_payload_includes_leap_section(self, tmp_path):
-        points = run_bench(sizes=(6,), seed=1, scale=0.02)
-        leap = run_leap_bench(n=50_000, seed=1, scale=0.02)
-        out = tmp_path / "bench.json"
-        write_json(points, str(out), seed=1, scale=0.02, leap=leap)
-        payload = json.loads(out.read_text())
-        section = payload["leap"]
-        assert section["workload"] == "naming"
+        section = payload_of(tmp_path, leap=smoke("leap"))["leap"]
         assert len(section["points"]) == 2
-        assert section["speedup"] > 0
+        assert section["metrics"]["leap/counts"] > 0
+        leap = [p for p in section["points"] if p["backend"] == "leap"][0]
+        assert leap["leaps"] > 0
 
 
 class TestFluidBench:
     def test_smoke_run_produces_both_backends(self):
-        points = run_fluid_bench(n=20_000, seed=1, scale=0.02)
+        points = smoke("fluid")
         assert [p.backend for p in points] == ["leap", "fluid"]
-        assert all(p.interactions > 0 and p.seconds >= 0 for p in points)
-        fluid_point = points[1]
+        assert all(p.work > 0 and p.seconds >= 0 for p in points)
+        fluid = points[1].detail
         # The fluid cell reports its ODE/handoff statistics; the
         # stochastic leap baseline has none.
-        assert fluid_point.ode_steps is not None
-        assert fluid_point.ode_steps > 0
-        assert fluid_point.handoff_backend == "leap"
-        assert points[0].ode_steps is None
+        assert fluid["ode_steps"] > 0
+        assert fluid["handoff_backend"] == "leap"
+        assert "ode_steps" not in points[0].detail
 
     def test_fluid_speedup_requires_both_cells(self):
-        def cell(backend, seconds):
-            return FluidBenchPoint(
-                backend=backend,
-                n_mobile=10,
-                interactions=100,
-                seconds=seconds,
-            )
-
-        points = [cell("leap", 6.0), cell("fluid", 2.0)]
-        assert fluid_speedup(points) == 3.0
-        assert fluid_speedup([points[0]]) is None
-        assert fluid_speedup([]) is None
+        # A wall-clock ratio: same horizon, the fluid claim is finishing
+        # it sooner.
+        section = TABLE["fluid"]
+        pair = [point("leap", seconds=6.0), point("fluid", seconds=2.0)]
+        assert metric(section, pair, "fluid/leap") == 3.0
+        assert metric(section, pair[:1], "fluid/leap") is None
+        assert metric(section, [], "fluid/leap") is None
 
     def test_render_marks_fluid_speedup(self):
-        points = run_fluid_bench(n=20_000, seed=1, scale=0.02)
-        table = render_fluid_points(points)
+        table = render(TABLE["fluid"], smoke("fluid"))
         assert "fluid fast-forward" in table
-        assert "stochastic baseline" in table
-        assert "ODE steps" in table
+        assert "ode_steps" in table
+        assert "x vs leap" in table
 
     def test_json_payload_includes_fluid_section(self, tmp_path):
-        points = run_bench(sizes=(6,), seed=1, scale=0.02)
-        fluid = run_fluid_bench(n=20_000, seed=1, scale=0.02)
-        out = tmp_path / "bench.json"
-        write_json(points, str(out), seed=1, scale=0.02, fluid=fluid)
-        payload = json.loads(out.read_text())
-        section = payload["fluid"]
-        assert section["workload"] == "naming"
+        section = payload_of(tmp_path, fluid=smoke("fluid"))["fluid"]
         assert len(section["points"]) == 2
-        assert section["speedup"] > 0
-        fluid_cell = [
-            p for p in section["points"] if p["backend"] == "fluid"
-        ][0]
-        assert fluid_cell["ode_steps"] > 0
-        assert fluid_cell["handoff_backend"] == "leap"
+        assert section["metrics"]["fluid/leap"] > 0
+        fluid = [p for p in section["points"] if p["backend"] == "fluid"][0]
+        assert fluid["ode_steps"] > 0
+        assert fluid["handoff_backend"] == "leap"
 
 
 class TestSectionsSelector:
     def test_sections_selector_runs_only_selected(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        code = main(
-            [
-                "--smoke",
-                "--sections",
-                "leap",
-                "--leap-n",
-                "20000",
-                "--out",
-                str(out),
-            ]
-        )
+        code, payload = run_main(tmp_path, "--smoke", "--sections", "leap")
         assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["points"] == []
         assert "leap" in payload
-        for omitted in ("ensemble", "bleap", "fluid", "parallel"):
+        for omitted in set(SECTIONS) - {"leap"}:
             assert omitted not in payload
+        assert set(payload["section_seconds"]) == {"leap"}
         shown = capsys.readouterr().out
         assert "leap throughput" in shown
         assert "ensemble throughput" not in shown
 
     def test_all_sections_named(self):
         assert SECTIONS == (
-            "backends", "ensemble", "leap", "bleap", "fluid", "parallel"
+            "backends", "ensemble", "leap", "bleap", "fluid", "parallel",
+            "serve",
         )
 
     def test_unknown_section_is_a_usage_error(self, capsys):
@@ -363,149 +303,93 @@ class TestSectionsSelector:
 
     def test_floor_for_deselected_section_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["--sections", "leap", "--fluid-floor", "1.0"])
+            main(["--sections", "leap", "--gate", "fluid.fluid/leap>=1"])
         assert exc.value.code == 2
         assert "deselected" in capsys.readouterr().err
 
-    def test_fluid_floor_gate_passes_on_tiny_ratio(self, tmp_path):
-        out = tmp_path / "bench.json"
-        code = main(
-            [
-                "--smoke",
-                "--sections",
-                "fluid",
-                "--fluid-n",
-                "20000",
-                "--fluid-floor",
-                "0.0001",
-                "--out",
-                str(out),
-            ]
+    def test_fluid_floor_gate_passes_on_tiny_ratio(self, tmp_path, capsys):
+        code, _ = run_main(
+            tmp_path, "--smoke", "--sections", "fluid",
+            "--gate", "fluid.fluid/leap>=0.0001",
         )
         assert code == 0
+        assert "gate fluid.fluid/leap" in capsys.readouterr().out
 
 
 class TestParallelBench:
     def test_smoke_run_produces_all_four_cells(self):
-        points = run_parallel_bench(
-            n=2_000, replicates=48, seed=1, scale=0.02, jobs=2
-        )
-        cells = {(p.kind, p.mode) for p in points}
-        assert cells == {
+        points = smoke("parallel")
+        assert {(p.workload, p.backend) for p in points} == {
             ("lockstep", "serial"),
             ("lockstep", "sharded"),
             ("frontier", "serial"),
             ("frontier", "sharded"),
         }
         assert all(p.work > 0 and p.seconds >= 0 for p in points)
-        # Serial and sharded lockstep cells are seed-identical runs of
-        # the same workload, so they must report identical work.
-        work = {p.mode: p.work for p in points if p.kind == "lockstep"}
-        assert work["serial"] == work["sharded"]
-        ratios = parallel_speedups(points)
-        assert set(ratios) == {"lockstep", "frontier"}
+        # Serial and sharded cells are seed-identical runs of the same
+        # workload, so they must report identical work.
+        for kind in ("lockstep", "frontier"):
+            work = {p.work for p in points if p.workload == kind}
+            assert len(work) == 1
+        ratios = speedups(TABLE["parallel"], points)["sharded/serial"]
+        assert len(ratios) == 2
         assert all(v > 0 for v in ratios.values())
 
     def test_sharded_lockstep_cell_reports_shm_transport(self):
         from repro.engine.parallel import shm_available
 
-        points = run_parallel_bench(
-            n=2_000, replicates=48, seed=1, scale=0.02, jobs=2
-        )
-        sharded = [
-            p for p in points
-            if p.kind == "lockstep" and p.mode == "sharded"
-        ][0]
+        points = smoke("parallel")
+        cells = {
+            p.backend: p.detail for p in points if p.workload == "lockstep"
+        }
         if shm_available()[0]:
-            assert sharded.shards == 2
-            assert sharded.shm_bytes > 0
-            assert sharded.copy_bytes_saved > 0
-        serial = [
-            p for p in points
-            if p.kind == "lockstep" and p.mode == "serial"
-        ][0]
-        assert serial.shards is None
+            assert cells["sharded"]["shards"] == cells["sharded"]["jobs"]
+            assert cells["sharded"]["shm_bytes"] > 0
+            assert cells["sharded"]["copy_bytes_saved"] > 0
+        assert "shards" not in cells["serial"]
 
     def test_render_marks_speedup_and_transport(self):
         points = [
-            ParallelBenchPoint(
-                kind="lockstep", mode="serial", n_mobile=100,
-                replicates=8, work=800, seconds=0.2, jobs=1,
-            ),
-            ParallelBenchPoint(
-                kind="lockstep", mode="sharded", n_mobile=100,
-                replicates=8, work=800, seconds=0.1, jobs=4,
-                shards=4, shm_bytes=4096, copy_bytes_saved=2048,
-            ),
+            point("serial", 100, 8, 800, 0.2, "lockstep", jobs=1),
+            point("sharded", 100, 8, 800, 0.1, "lockstep", jobs=4,
+                  shards=4, shm_bytes=4096, copy_bytes_saved=2048),
         ]
-        table = render_parallel_points(points)
+        table = render(TABLE["parallel"], points)
         assert "shared-memory sharding" in table
         assert "2.00x vs serial" in table
-        assert "4 shards" in table
-        assert "copies saved" in table
+        assert "shards 4" in table
+        assert "copy_bytes_saved 2,048" in table
 
     def test_json_payload_includes_parallel_section(self, tmp_path):
-        points = run_parallel_bench(
-            n=2_000, replicates=48, seed=1, scale=0.02, jobs=2
-        )
-        out = tmp_path / "bench.json"
-        write_json([], str(out), seed=1, scale=0.02, parallel=points)
-        payload = json.loads(out.read_text())
-        section = payload["parallel"]
+        section = payload_of(tmp_path, parallel=smoke("parallel"))["parallel"]
         assert len(section["points"]) == 4
-        assert set(section["speedup"]) == {"lockstep", "frontier"}
+        assert {p["unit"] for p in section["points"]} == {
+            "interactions", "nodes"
+        }
         for cell in section["points"]:
             assert cell["seconds"] >= 0
             assert cell["work"] > 0
 
     def test_json_payload_records_section_wall_clock(self, tmp_path):
-        # Satellite: every section that ran reports its wall-clock cost
-        # and the payload totals them.
-        out = tmp_path / "bench.json"
-        code = main(
-            [
-                "--smoke",
-                "--sections",
-                "parallel",
-                "--parallel-n",
-                "2000",
-                "--parallel-reps",
-                "48",
-                "--parallel-jobs",
-                "2",
-                "--out",
-                str(out),
-            ]
+        # Every section that ran reports its wall-clock cost and the
+        # payload totals them.
+        code, payload = run_main(
+            tmp_path, "--smoke", "--sections", "parallel,leap"
         )
         assert code == 0
-        payload = json.loads(out.read_text())
-        assert set(payload["section_seconds"]) == {"parallel"}
-        assert payload["section_seconds"]["parallel"] > 0
+        assert set(payload["section_seconds"]) == {"parallel", "leap"}
+        assert all(v > 0 for v in payload["section_seconds"].values())
         assert payload["total_seconds"] == pytest.approx(
-            sum(payload["section_seconds"].values())
+            sum(payload["section_seconds"].values()), abs=1e-5
         )
 
     def test_floor_gate_skips_below_core_floor(
         self, tmp_path, capsys, monkeypatch
     ):
         monkeypatch.setattr("os.cpu_count", lambda: PARALLEL_MIN_CORES - 1)
-        out = tmp_path / "bench.json"
-        code = main(
-            [
-                "--smoke",
-                "--sections",
-                "parallel",
-                "--parallel-n",
-                "2000",
-                "--parallel-reps",
-                "48",
-                "--parallel-jobs",
-                "2",
-                "--parallel-floor",
-                "1000.0",
-                "--out",
-                str(out),
-            ]
+        code, _ = run_main(
+            tmp_path, "--smoke", "--sections", "parallel",
+            "--gate", "parallel.sharded/serial>=1000",
         )
         # An absurd floor cannot fail the run on a small host: the
         # gate is reported but skipped below the core floor.
@@ -516,23 +400,152 @@ class TestParallelBench:
         self, tmp_path, capsys, monkeypatch
     ):
         monkeypatch.setattr("os.cpu_count", lambda: PARALLEL_MIN_CORES)
-        out = tmp_path / "bench.json"
-        code = main(
-            [
-                "--smoke",
-                "--sections",
-                "parallel",
-                "--parallel-n",
-                "2000",
-                "--parallel-reps",
-                "48",
-                "--parallel-jobs",
-                "2",
-                "--parallel-floor",
-                "0.0001",
-                "--out",
-                str(out),
-            ]
+        code, _ = run_main(
+            tmp_path, "--smoke", "--sections", "parallel",
+            "--gate", "parallel.sharded/serial>=0.0001",
+            "--gate", "parallel.sharded/serial>=1000",
         )
-        assert code == 0
-        assert "parallel floor check" in capsys.readouterr().out
+        assert code == 1
+        shown = capsys.readouterr().out
+        assert "gate parallel.sharded/serial >= 0.00" in shown
+        assert "-> ok" in shown and "-> FAIL" in shown
+        assert "skipped" not in shown
+
+
+class TestServeBench:
+    def test_smoke_run_produces_three_verified_passes(self):
+        points = smoke("serve")
+        assert [p.backend for p in points] == ["cold", "warm", "memo"]
+        jobs = TABLE["serve"].smoke[0].replicates // bench.SERVE_SEEDS_PER_JOB
+        assert all(p.work == jobs and p.unit == "jobs" for p in points)
+        # The memo pass is served entirely from the result memo.
+        assert points[2].detail["memo_hits"] == jobs
+        ratios = speedups(TABLE["serve"], points)
+        assert set(ratios) == {"warm/cold", "memo/cold"}
+
+    def test_warm_cold_mismatch_aborts_the_run(self, tmp_path, monkeypatch):
+        # Corrupt the cold baseline: the warm pass no longer matches it,
+        # and the bench must refuse to report a speedup.
+        real = bench.run_ensemble
+
+        def skewed(*args, **kwargs):
+            ensemble = real(*args, **kwargs)
+            ensemble.results.pop()
+            return ensemble
+
+        monkeypatch.setattr(bench, "run_ensemble", skewed)
+        with pytest.raises(RuntimeError, match="differential check failed"):
+            run_main(tmp_path, "--smoke", "--sections", "serve")
+        assert not (tmp_path / "bench.json").exists()
+
+    @pytest.mark.parametrize(
+        "threshold, code, verdict", [("0.0001", 0, "ok"), ("1e9", 1, "FAIL")]
+    )
+    def test_gate(self, tmp_path, capsys, threshold, code, verdict):
+        got, payload = run_main(
+            tmp_path, "--smoke", "--sections", "serve",
+            "--gate", f"serve.warm/cold>={threshold}",
+        )
+        assert got == code
+        assert f"-> {verdict}" in capsys.readouterr().out
+        assert payload["serve"]["metrics"]["warm/cold"] > 0
+
+
+class TestGateParsing:
+    def test_parses_section_metric_threshold(self):
+        assert parse_gate("leap.leap/counts>=10") == Gate(
+            "leap", "leap/counts", 10.0
+        )
+        assert parse_gate("backends.counts>=1e6").threshold == 1e6
+
+    @pytest.mark.parametrize(
+        "gate, message",
+        [
+            ("backends.counts", "malformed gate"),
+            ("backends.counts>=fast", "malformed gate"),
+            ("backends.counts<=1", "malformed gate"),
+            ("counts>=1", "malformed gate"),
+            ("backends.nope>=1", "unknown metric"),
+            ("nope.counts>=1", "unknown section"),
+            ("fluid.fluid/leap>=1", "deselected"),
+        ],
+    )
+    def test_bad_gate_is_a_usage_error(self, capsys, gate, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["--sections", "backends", "--gate", gate])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", SECTIONS)
+class TestTable:
+    """Behaviours every row of the table shares."""
+
+    def test_row_is_well_formed(self, name):
+        section = TABLE[name]
+        assert section.full and section.smoke
+        # The headline workload (the first cell's) is the same in both
+        # columns, so gates read the same kind of cell in either.
+        assert section.full[0].workload == section.smoke[0].workload
+        mentioned = {b for pair in section.pairs for b in pair.split("/")}
+        for m in section.metrics:
+            assert set(m.split("/")) <= mentioned
+
+    def test_metrics_read_largest_n_then_widest_r(self, name):
+        # Synthetic points over the full cells, scored N + R on the
+        # headline workload and hugely elsewhere: only the largest-N,
+        # widest-R headline cell yields the expected value.
+        section = TABLE[name]
+        headline = section.full[0].workload
+        best = max(
+            (c for c in section.full if c.workload == headline),
+            key=lambda c: (c.n, c.replicates),
+        )
+        for m in section.metrics:
+            candidate, *baseline = m.split("/")
+            points = []
+            for cell in section.full:
+                k = cell.n + cell.replicates
+                if cell.workload != headline:
+                    k = 10**12
+                at = (cell.n, cell.replicates, 100, 1.0, cell.workload)
+                points += [point(b, *at) for b in baseline]
+                points.append(point(candidate, cell.n, cell.replicates,
+                                    100, 1.0 / k, cell.workload))
+            k = best.n + best.replicates
+            want = k if baseline else 100 * k
+            assert metric(section, points, m) == pytest.approx(want)
+
+    def test_zero_time_cell_passes_every_gate(self, name):
+        section = TABLE[name]
+        workload = section.full[0].workload
+        for m in section.metrics:
+            candidate, *baseline = m.split("/")
+            points = [point(b, workload=workload) for b in baseline]
+            points.append(point(candidate, workload=workload, seconds=0.0))
+            assert metric(section, points, m) == float("inf")
+
+    def test_smoke_cells_run_and_report(self, name, tmp_path):
+        section = TABLE[name]
+        points = smoke(name)
+        assert all(p.work > 0 and p.seconds >= 0 for p in points)
+        assert {(p.workload, p.n_mobile, p.replicates) for p in points} == {
+            (c.workload, c.n, c.replicates) for c in section.smoke
+        }
+        assert set(speedups(section, points)) == set(section.pairs)
+        payload = payload_of(tmp_path, **{name: points})
+        assert set(payload[name]["metrics"]) == set(section.metrics)
+        assert all(v > 0 for v in payload[name]["metrics"].values())
+
+    def test_scale_multiplies_stated_budgets(self, name):
+        section = TABLE[name]
+        seen = []
+        recording = replace(section, measure=lambda c, s: seen.append(c) or [])
+        run_section(recording, smoke=True, scale=0.5)
+        assert [(c.n, c.replicates) for c in seen] == [
+            (c.n, c.replicates) for c in section.smoke
+        ]
+        assert [c.budget for c in seen] == [
+            max(1, int(c.budget * 0.5)) if c.budget else 0
+            for c in section.smoke
+        ]
