@@ -20,9 +20,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from repro.analysis.model_checker import strongly_connected_components
 from repro.analysis.reachability import ConfigurationGraph, explore
-from repro.analysis.weak_fairness import _meetings
+from repro.analysis.weak_fairness import _summarize_components
 from repro.engine.configuration import Configuration
 from repro.engine.population import AgentId, Population
 from repro.engine.protocol import PopulationProtocol
@@ -221,21 +220,14 @@ def _find_failing_component(
     all_pairs: set,
 ) -> tuple[set[Configuration], bool] | None:
     """The first SCC witnessing failure, plus its livelock flag."""
-    for component in strongly_connected_components(graph):
-        members = set(component)
-        covered = set()
-        changes = False
-        for node in component:
-            for meeting in _meetings(
-                protocol, population, node, lambda s: s
-            ):
-                if meeting.target in members:
-                    covered.add(meeting.pair)
-                    changes = changes or meeting.changes_mobile
-        if covered != all_pairs:
+    for summary in _summarize_components(
+        protocol, population, graph, lambda s: s
+    ):
+        if summary.covered != all_pairs:
             continue
-        if changes or not component[0].names_distinct():
-            return members, changes
+        livelock = summary.changes_mobile
+        if livelock or not summary.representative.names_distinct():
+            return summary.members, livelock
     return None
 
 

@@ -24,10 +24,13 @@ from typing import Callable, Iterable
 
 import numpy
 
-from repro.analysis.quotient import QuotientNode
+from repro.analysis.model_checker import strongly_connected_components
 from repro.engine.protocol import PopulationProtocol
-from repro.engine.state import State
 from repro.errors import VerificationError
+
+#: A lumped-chain node: (sorted tuple of mobile states, leader state or
+#: None).
+QuotientNode = tuple
 
 
 @dataclass(frozen=True)
@@ -108,24 +111,23 @@ def _transition_distribution(
     return distribution
 
 
-def expected_convergence_time(
+def _explore_chain(
     protocol: PopulationProtocol,
     initial: Iterable[QuotientNode],
     is_absorbing: Callable[[QuotientNode], bool],
-    max_nodes: int = 20_000,
-) -> dict[QuotientNode, float]:
-    """Exact expected interactions to absorption for every reachable node.
+    max_nodes: int,
+) -> tuple[
+    list[QuotientNode],
+    dict[QuotientNode, int],
+    list[dict[QuotientNode, float]],
+]:
+    """Breadth-first walk of the lumped chain from ``initial``.
 
-    ``is_absorbing`` marks the solved classes (e.g. duplicate-free,
-    silent multisets).  Raises :class:`VerificationError` when some
-    reachable node cannot reach an absorbing one (infinite expectation).
+    Returns the nodes in discovery order, their indices, and each node's
+    outgoing distribution (empty for absorbing nodes, which are not
+    expanded).
     """
-    initial = list(initial)
-    if not initial:
-        raise VerificationError("no initial quotient nodes supplied")
     has_leader = protocol.requires_leader
-
-    # Explore the lumped chain.
     nodes: list[QuotientNode] = []
     index: dict[QuotientNode, int] = {}
     rows: list[dict[QuotientNode, float]] = []
@@ -135,6 +137,8 @@ def expected_convergence_time(
             index[node] = len(nodes)
             nodes.append(node)
             queue.append(node)
+    if not nodes:
+        raise VerificationError("no initial quotient nodes supplied")
     while queue:
         node = queue.popleft()
         if is_absorbing(node):
@@ -151,6 +155,24 @@ def expected_convergence_time(
                 index[target] = len(nodes)
                 nodes.append(target)
                 queue.append(target)
+    return nodes, index, rows
+
+
+def expected_convergence_time(
+    protocol: PopulationProtocol,
+    initial: Iterable[QuotientNode],
+    is_absorbing: Callable[[QuotientNode], bool],
+    max_nodes: int = 20_000,
+) -> dict[QuotientNode, float]:
+    """Exact expected interactions to absorption for every reachable node.
+
+    ``is_absorbing`` marks the solved classes (e.g. duplicate-free,
+    silent multisets).  Raises :class:`VerificationError` when some
+    reachable node cannot reach an absorbing one (infinite expectation).
+    """
+    nodes, index, rows = _explore_chain(
+        protocol, initial, is_absorbing, max_nodes
+    )
 
     transient = [i for i, node in enumerate(nodes) if not is_absorbing(node)]
     if not transient:
@@ -203,49 +225,18 @@ def absorption_probability(
     ``(I - Q') p = r`` with a unique solution - the minimal non-negative
     one, i.e. the true probabilities.
     """
-    initial = list(initial)
-    if not initial:
-        raise VerificationError("no initial quotient nodes supplied")
-    has_leader = protocol.requires_leader
-
-    nodes: list[QuotientNode] = []
-    index: dict[QuotientNode, int] = {}
-    rows: list[dict[QuotientNode, float]] = []
-    queue: deque[QuotientNode] = deque()
-    for node in initial:
-        if node not in index:
-            index[node] = len(nodes)
-            nodes.append(node)
-            queue.append(node)
-    while queue:
-        node = queue.popleft()
-        if is_absorbing(node):
-            rows.append({})
-            continue
-        distribution = _transition_distribution(protocol, node, has_leader)
-        rows.append(distribution)
-        for target in distribution:
-            if target not in index:
-                if len(nodes) >= max_nodes:
-                    raise VerificationError(
-                        f"lumped chain exceeded {max_nodes} nodes"
-                    )
-                index[target] = len(nodes)
-                nodes.append(target)
-                queue.append(target)
+    nodes, index, rows = _explore_chain(
+        protocol, initial, is_absorbing, max_nodes
+    )
 
     result = {
         node: (1.0 if is_absorbing(node) else 0.0) for node in nodes
     }
 
     # Doomed nodes: sink SCCs of non-absorbing nodes never absorb.
-    from repro.analysis.quotient import _tarjan
-
-    def successors(node: QuotientNode):
-        i = index[node]
-        return list(rows[i].keys())
-
-    components = _tarjan(nodes, successors)
+    components = strongly_connected_components(
+        nodes, lambda node: rows[index[node]]
+    )
     doomed: set[QuotientNode] = set()
     for component in components:
         members = set(component)

@@ -43,13 +43,14 @@ explicit labelled checker on every instance small enough for both.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, permutations
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from repro.analysis.model_checker import strongly_connected_components
 from repro.engine.configuration import Configuration
 from repro.engine.population import Population
 from repro.engine.problems import is_silent
@@ -991,59 +992,6 @@ def _adjacency(
     return offsets, pairs[:, 1].copy()
 
 
-def _int_sccs(
-    n_nodes: int, offsets: np.ndarray, targets: np.ndarray
-) -> list[list[int]]:
-    """Iterative Tarjan over integer node ids with CSR adjacency."""
-    index = np.full(n_nodes, -1, dtype=np.int64)
-    lowlink = np.zeros(n_nodes, dtype=np.int64)
-    on_stack = np.zeros(n_nodes, dtype=bool)
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-    for root in range(n_nodes):
-        if index[root] >= 0:
-            continue
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        work: list[list[int]] = [[root, int(offsets[root])]]
-        while work:
-            frame = work[-1]
-            node = frame[0]
-            advanced = False
-            while frame[1] < offsets[node + 1]:
-                succ = int(targets[frame[1]])
-                frame[1] += 1
-                if index[succ] < 0:
-                    index[succ] = lowlink[succ] = counter
-                    counter += 1
-                    stack.append(succ)
-                    on_stack[succ] = True
-                    work.append([succ, int(offsets[succ])])
-                    advanced = True
-                    break
-                if on_stack[succ]:
-                    lowlink[node] = min(lowlink[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                component: list[int] = []
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(component)
-    return components
-
-
 def symbolic_sccs(rs: ReachSet) -> list[list[int]]:
     """SCCs of the reached quotient (requires ``track_edges=True``)."""
     if rs.edges_src is None:
@@ -1051,7 +999,10 @@ def symbolic_sccs(rs: ReachSet) -> list[list[int]]:
             "SCC analysis needs a reach with track_edges=True"
         )
     offsets, targets = _adjacency(rs.n_nodes, rs.edges_src, rs.edges_dst)
-    return _int_sccs(rs.n_nodes, offsets, targets)
+    off, tgt = offsets.tolist(), targets.tolist()
+    return strongly_connected_components(
+        range(rs.n_nodes), lambda v: tgt[off[v] : off[v + 1]]
+    )
 
 
 # ----------------------------------------------------------------------
@@ -1370,8 +1321,6 @@ def _fiber_graph(
 ) -> _FiberGraph:
     """Expand one candidate quotient SCC into its labelled fiber and run
     the exact weak-fairness SCC + pair-coverage analysis on it."""
-    from repro.analysis.quotient import _tarjan
-
     system = rs.system
     protocol = system.protocol
     project = system.project
@@ -1409,7 +1358,7 @@ def _fiber_graph(
     def successors(key: tuple) -> list[tuple]:
         return [tkey for tkey, _, _, _ in edges[key]]
 
-    components = _tarjan(list(configs), successors)
+    components = strongly_connected_components(list(configs), successors)
     comp_of = {
         key: cid
         for cid, members in enumerate(components)

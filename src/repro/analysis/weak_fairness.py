@@ -100,6 +100,7 @@ class _ComponentSummary:
     """Pair coverage and mobile-change information for one SCC."""
 
     representative: Configuration
+    members: set[Configuration]
     covered: set[Pair]
     changes_mobile: bool
 
@@ -111,7 +112,9 @@ def _summarize_components(
     project: Callable[[object], object],
 ) -> list[_ComponentSummary]:
     summaries: list[_ComponentSummary] = []
-    for component in strongly_connected_components(graph):
+    for component in strongly_connected_components(
+        graph.nodes, graph.successors
+    ):
         members = set(component)
         covered: set[Pair] = set()
         changes = False
@@ -121,7 +124,9 @@ def _summarize_components(
                     covered.add(meeting.pair)
                     if meeting.changes_mobile:
                         changes = True
-        summaries.append(_ComponentSummary(component[0], covered, changes))
+        summaries.append(
+            _ComponentSummary(component[0], members, covered, changes)
+        )
     return summaries
 
 

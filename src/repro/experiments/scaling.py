@@ -3,11 +3,11 @@
 
 How far does each verification technique reach?  This experiment measures
 explored state-space sizes and wall-clock time for the labelled checker,
-the quotient checker and the weak-fairness checker across instance sizes,
-on the paper's protocols.  It quantifies the reproduction's verification
-story: the quotient abstraction buys roughly ``N!`` and pushes exact
-verification past everything simulation can certify (most strikingly
-Protocol 3 at ``N = P = 5``).
+the symbolic counts-quotient checker and the weak-fairness checker across
+instance sizes, on the paper's protocols.  It quantifies the
+reproduction's verification story: the counts quotient buys roughly
+``N!`` and pushes exact verification past everything simulation can
+certify (most strikingly Protocol 3 at ``N = P = 5``).
 
 The ``--simulate`` mode asks the complementary question - how far does
 *simulation* reach?  It sweeps the asymmetric naming dynamics
@@ -39,11 +39,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from repro.analysis.model_checker import check_naming_global
-from repro.analysis.quotient import (
-    arbitrary_quotient_initials,
-    check_naming_global_quotient,
-)
 from repro.analysis.reachability import arbitrary_initial_configurations
+from repro.analysis.symbolic import check_sinks
 from repro.analysis.weak_fairness import check_naming_weak
 from repro.core.asymmetric import AsymmetricNamingProtocol
 from repro.core.global_naming import GlobalNamingProtocol
@@ -79,17 +76,17 @@ def _point_specs(max_quotient_n: int) -> list[tuple[str, int, str]]:
     """
     specs: list[tuple[str, int, str]] = []
 
-    # Proposition 13's protocol: labelled vs quotient, N = P.
+    # Proposition 13's protocol: labelled vs symbolic, N = P.
     for n in range(3, max_quotient_n + 1):
         if n <= 4:  # labelled blow-up: (n+1)^n nodes
             specs.append(("Prop. 13", n, "global (labelled)"))
-        specs.append(("Prop. 13", n, "global (quotient)"))
+        specs.append(("Prop. 13", n, "global (symbolic)"))
 
     # Protocol 3: the N = P case nobody can simulate.
     for n in range(2, min(max_quotient_n, 5) + 1):
         if n <= 4:
             specs.append(("Protocol 3", n, "global (labelled)"))
-        specs.append(("Protocol 3", n, "global (quotient)"))
+        specs.append(("Protocol 3", n, "global (symbolic)"))
 
     # Protocol 2 under the weak checker (self-stabilizing: full space).
     for n in (2, 3):
@@ -117,35 +114,31 @@ def _run_point(spec: tuple[str, int, str]) -> ScalePoint:
         leaders = None
 
     start = time.perf_counter()
-    if technique == "global (labelled)":
-        verdict = check_naming_global(
-            protocol,
-            population,
-            arbitrary_initial_configurations(protocol, population, leaders)
-            if leaders
-            else arbitrary_initial_configurations(protocol, population),
+    if technique == "global (symbolic)":
+        sinks = check_sinks(
+            protocol, n, mobile_mode="arbitrary", leader_states=leaders
         )
-    elif technique == "global (quotient)":
-        verdict = check_naming_global_quotient(
-            protocol,
-            arbitrary_quotient_initials(protocol, n, leaders)
-            if leaders
-            else arbitrary_quotient_initials(protocol, n),
-        )
+        nodes, solves = sinks.explored, sinks.holds
     else:
-        verdict = check_naming_weak(
+        check = (
+            check_naming_global
+            if technique == "global (labelled)"
+            else check_naming_weak
+        )
+        verdict = check(
             protocol,
             population,
-            arbitrary_initial_configurations(protocol, population),
+            arbitrary_initial_configurations(protocol, population, leaders),
         )
+        nodes, solves = verdict.explored_nodes, verdict.solves
     return ScalePoint(
         protocol=label,
         n_mobile=n,
         bound=n,
         technique=technique,
-        nodes=verdict.explored_nodes,
+        nodes=nodes,
         seconds=time.perf_counter() - start,
-        solves=verdict.solves,
+        solves=solves,
     )
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import symbolic as S
+from repro.core.global_naming import GlobalNamingProtocol
 from repro.core.selfstab_naming import SelfStabilizingNamingProtocol
 from repro.core.symmetric_global import SymmetricGlobalNamingProtocol
 from repro.engine.population import Population
@@ -257,3 +258,34 @@ class TestPositiveVerdicts:
     def test_render_mentions_replay(self):
         verdict = S.check_reach(null_protocol(), 2, mobile_mode="arbitrary")
         assert "replayed" in verdict.render()
+
+
+class TestGlobalScaling:
+    """Global-fairness instances out of reach for the labelled checker."""
+
+    def test_prop13_full_population_p6(self):
+        protocol = SymmetricGlobalNamingProtocol(6)
+        verdict = S.check_sinks(protocol, 6, mobile_mode="arbitrary")
+        assert verdict.holds
+        assert verdict.explored == 924
+
+    def test_protocol3_full_population_p5(self):
+        """N = P = 5 for Protocol 3: unreachable by simulation (the sweep
+        cost explodes) and by the labelled checker (3125-fold blow-up);
+        the counts quotient decides it exactly."""
+        protocol = GlobalNamingProtocol(5)
+        verdict = S.check_sinks(
+            protocol,
+            5,
+            mobile_mode="arbitrary",
+            leader_states=[protocol.initial_leader_state()],
+        )
+        assert verdict.holds
+        assert verdict.explored == 1267
+
+    def test_protocol2_solves_under_global_fairness(self):
+        """Protocol 2 is a weak-fairness protocol; global fairness is the
+        stronger assumption, so its full leader space passes too."""
+        protocol = SelfStabilizingNamingProtocol(2)
+        verdict = S.check_sinks(protocol, 2, mobile_mode="arbitrary")
+        assert verdict.holds

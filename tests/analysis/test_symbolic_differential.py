@@ -4,7 +4,10 @@ On every registry instance small enough for the explicit graph, the
 counts-quotient frontier must agree with labelled exploration: the
 quotiented reachable sets are equal, the sink components are identical
 (as families of count vectors), and the weak-fairness verdict matches
-:func:`repro.analysis.weak_fairness.check_naming_weak` exactly.
+:func:`repro.analysis.weak_fairness.check_naming_weak` exactly.  The
+global-fairness verdict is also checked against
+:func:`repro.analysis.model_checker.check_naming_global`, its oracle, on
+extra population sizes and an initialized leader.
 """
 
 import pytest
@@ -20,8 +23,11 @@ from repro.analysis.reachability import (
     uniform_initial_configurations,
 )
 from repro.analysis.weak_fairness import check_naming_weak
+from repro.core.asymmetric import AsymmetricNamingProtocol
+from repro.core.global_naming import GlobalNamingProtocol
 from repro.core.registry import protocol_for
 from repro.core.spec import all_specs
+from repro.core.symmetric_global import SymmetricGlobalNamingProtocol
 from repro.engine.population import Population
 from repro.errors import InfeasibleSpecError
 
@@ -118,5 +124,53 @@ class TestDifferential:
         explicit = check_naming_weak(protocol, population, initial)
         symbolic = S.check_liveness(protocol, N_MOBILE, mobile_mode=mode)
         assert explicit.solves == symbolic.holds
+        if not symbolic.holds:
+            assert symbolic.replay_validated is True
+
+
+#: Global-fairness cases beyond the registry sweep, as (protocol, N,
+#: initialized leader, expected verdict): other population sizes -
+#: Proposition 13 fails at N = 2, where two agents livelock - and
+#: Protocol 3 from its designated leader state.
+GLOBAL_CASES = [
+    pytest.param(
+        SymmetricGlobalNamingProtocol(3), 3, False, True, id="prop13-P3-N3"
+    ),
+    pytest.param(
+        SymmetricGlobalNamingProtocol(3), 2, False, False, id="prop13-P3-N2"
+    ),
+    pytest.param(
+        SymmetricGlobalNamingProtocol(4), 3, False, True, id="prop13-P4-N3"
+    ),
+    pytest.param(
+        AsymmetricNamingProtocol(3), 3, False, True, id="asymmetric-P3-N3"
+    ),
+    pytest.param(
+        AsymmetricNamingProtocol(4), 2, False, True, id="asymmetric-P4-N2"
+    ),
+    pytest.param(
+        GlobalNamingProtocol(3), 3, True, True, id="protocol3-P3-N3-leader"
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "protocol,n,initialized_leader,expected", GLOBAL_CASES
+)
+class TestGlobalCases:
+    def test_agreement(self, protocol, n, initialized_leader, expected):
+        leaders = (
+            [protocol.initial_leader_state()] if initialized_leader else None
+        )
+        population = Population(n, protocol.requires_leader)
+        explicit = check_naming_global(
+            protocol,
+            population,
+            arbitrary_initial_configurations(protocol, population, leaders),
+        )
+        symbolic = S.check_sinks(
+            protocol, n, mobile_mode="arbitrary", leader_states=leaders
+        )
+        assert explicit.solves == symbolic.holds == expected
         if not symbolic.holds:
             assert symbolic.replay_validated is True

@@ -33,9 +33,9 @@ class TestScaling:
         compared = 0
         for techniques in by_key.values():
             labelled = techniques.get("global (labelled)")
-            quotient = techniques.get("global (quotient)")
-            if labelled and quotient:
-                assert quotient.nodes <= labelled.nodes
+            symbolic = techniques.get("global (symbolic)")
+            if labelled and symbolic:
+                assert symbolic.nodes <= labelled.nodes
                 compared += 1
         assert compared >= 3
 
@@ -53,7 +53,7 @@ class TestScaling:
                 p
                 for p in points
                 if p.protocol == "Prop. 13"
-                and p.technique == "global (quotient)"
+                and p.technique == "global (symbolic)"
             ),
             key=lambda p: p.n_mobile,
         )
@@ -63,7 +63,7 @@ class TestScaling:
     def test_render(self, points):
         text = render_points(points)
         assert "technique" in text
-        assert "quotient" in text
+        assert "symbolic" in text
         assert "FAILS" not in text
 
 
@@ -169,7 +169,7 @@ class TestRenderEdgeCases:
             protocol="Prop. 13",
             n_mobile=3,
             bound=3,
-            technique="global (quotient)",
+            technique="global (symbolic)",
             nodes=17,
             seconds=0.0,
             solves=False,

@@ -47,7 +47,7 @@ class TestExports:
             "repro.cli",
             "repro.errors",
             "repro.analysis.counterexample",
-            "repro.analysis.quotient",
+            "repro.analysis.symbolic",
             "repro.core.transformer",
             "repro.core.leader_election",
             "repro.engine.ensemble",
